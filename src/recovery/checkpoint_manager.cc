@@ -163,8 +163,7 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
   // Its publish gate is that log's *own* durable horizon reaching one past
   // the end record — captured here, right after the append, so it covers
   // the end record regardless of how frames pack.
-  pending_end_horizon_ =
-      proc.log().sharded() ? proc.log().shard_next_lsn(0) : proc.log().next_lsn();
+  pending_end_horizon_ = proc.log().shard_next_lsn(0);
   pending_end_append_ms_ = sim->clock().NowMs();
   pending_ref_lsns_ = std::move(refs);
   ++checkpoints_taken_;
@@ -233,117 +232,67 @@ void CheckpointManager::MaybePublishCheckpoint() {
   }
 }
 
-uint64_t CheckpointManager::ComputeTruncationPoint() const {
-  Process& proc = *process_;
-  // Nothing is reclaimable before the first published checkpoint: recovery
-  // would scan from the very beginning.
-  Result<uint64_t> well_known = proc.log().ReadWellKnownLsn();
-  if (!well_known.ok()) return proc.log().head_base();
-
-  uint64_t point = *well_known;
-  // A checkpoint in flight (taken, not yet published) pins its own bracket
-  // and everything its captured entries reference: with async capture the
-  // live tables can advance past the captured LSNs before the publish, and
-  // recovery may still land on this bracket once it publishes. The
-  // *published* bracket's captured refs stay pinned too — its entries keep
-  // pointing at them even after the live context saves newer state.
-  if (pending_begin_lsn_ != kInvalidLsn) {
-    point = std::min(point, pending_begin_lsn_);
-  }
-  for (uint64_t ref : pending_ref_lsns_) point = std::min(point, ref);
-  for (uint64_t ref : published_ref_lsns_) point = std::min(point, ref);
-  for (const auto& [context_id, ctx] : proc.contexts()) {
-    uint64_t origin = ctx->recovery_lsn();
-    if (origin != kInvalidLsn) point = std::min(point, origin);
-  }
-  for (const auto& [key, entry] : proc.last_calls().entries()) {
-    if (entry.reply_lsn != kInvalidLsn) {
-      point = std::min(point, entry.reply_lsn);
-    }
-  }
-  return std::max(point, proc.log().head_base());
-}
-
 uint64_t CheckpointManager::GarbageCollect() {
   Process& proc = *process_;
   LogManager& log = proc.log();
   Simulation* sim = proc.simulation();
   std::string label = ProcLabel(process_);
 
-  if (log.sharded()) {
-    Result<uint64_t> well_known = log.ReadWellKnownLsn();
-    if (!well_known.ok()) return 0;
-    Result<uint64_t> begin_order = log.OrderOfRecordAt(*well_known);
-    if (!begin_order.ok()) return 0;
+  // Nothing is reclaimable before the first published checkpoint: recovery
+  // would scan from the very beginning.
+  Result<uint64_t> well_known = log.ReadWellKnownLsn();
+  if (!well_known.ok()) return 0;
+  Result<uint64_t> begin_order = log.OrderOfRecordAt(*well_known);
+  if (!begin_order.ok()) return 0;
 
-    // Each constraint pins only the shard its record lives on; a shard's
-    // cut is the minimum pinned local offset there. kInvalidLsn marks a
-    // shard no constraint touches.
-    std::vector<uint64_t> point(log.shard_count(), kInvalidLsn);
-    auto pin = [&](uint64_t lsn) {
-      if (lsn == kInvalidLsn) return;
-      uint32_t s = ShardOfLsn(lsn);
-      point[s] = std::min(point[s], LocalOfLsn(lsn));
-    };
-    pin(*well_known);  // the checkpoint bracket itself, on shard 0
-    // Same in-flight/published pins as ComputeTruncationPoint, per shard:
-    // composite LSNs cannot be min'd across shards, so every captured ref
-    // pins individually.
-    pin(pending_begin_lsn_);
-    for (uint64_t ref : pending_ref_lsns_) pin(ref);
-    for (uint64_t ref : published_ref_lsns_) pin(ref);
-    for (const auto& [context_id, ctx] : proc.contexts()) {
-      pin(ctx->recovery_lsn());
-    }
-    for (const auto& [key, entry] : proc.last_calls().entries()) {
-      pin(entry.reply_lsn);
-    }
-
-    uint64_t reclaimed = 0;
-    for (uint32_t s = 0; s < log.shard_count(); ++s) {
-      uint64_t cut = std::min(point[s], log.shard_stable_end(s));
-      if (point[s] == kInvalidLsn) {
-        // Unpinned shard: recovery reads it only from the published
-        // checkpoint's global sequence number on — cut at the first record
-        // at or past that gsn, the whole stable shard when none is.
-        cut = log.shard_stable_end(s);
-        LogReader reader(log.ShardStableView(s), log.shard_head_base(s));
-        reader.EnableGsnPrefix();
-        while (auto parsed = reader.Next()) {
-          if (parsed->order >= *begin_order) {
-            cut = parsed->lsn;
-            break;
-          }
-        }
-      }
-      uint64_t before = log.shard_head_base(s);
-      if (cut <= before) continue;
-      log.TrimShardHead(s, cut);
-      reclaimed += cut - before;
-      sim->tracer().Instant("checkpoint", "trim", label, sim->Current(),
-                            {obs::Arg("shard", static_cast<uint64_t>(s)), obs::Arg("head", cut),
-                             obs::Arg("bytes", cut - before)});
-    }
-    if (reclaimed > 0) {
-      sim->metrics()
-          .GetCounter("phoenix.checkpoint.bytes_reclaimed",
-                      obs::LabelSet{{"process", label}})
-          .Increment(reclaimed);
-    }
-    return reclaimed;
+  // Everything below a shard's cut can never be read again. Each constraint
+  // pins only the shard its record lives on, and a shard's cut is the
+  // minimum pinned local offset there (kInvalidLsn: nothing pins it). On a
+  // single log this is the minimum over every constraint.
+  std::vector<uint64_t> point(log.shard_count(), kInvalidLsn);
+  auto pin = [&](uint64_t lsn) {
+    if (lsn == kInvalidLsn) return;
+    uint32_t s = ShardOfLsn(lsn);
+    point[s] = std::min(point[s], LocalOfLsn(lsn));
+  };
+  pin(*well_known);  // the published checkpoint bracket, on shard 0
+  // A checkpoint in flight (taken, not yet published) pins its own bracket
+  // and everything its captured entries reference: with async capture the
+  // live tables can advance past the captured LSNs before the publish, and
+  // recovery may still land on this bracket once it publishes. The
+  // *published* bracket's captured refs stay pinned too — its entries keep
+  // pointing at them even after the live context saves newer state.
+  pin(pending_begin_lsn_);
+  for (uint64_t ref : pending_ref_lsns_) pin(ref);
+  for (uint64_t ref : published_ref_lsns_) pin(ref);
+  for (const auto& [context_id, ctx] : proc.contexts()) {
+    pin(ctx->recovery_lsn());
+  }
+  for (const auto& [key, entry] : proc.last_calls().entries()) {
+    pin(entry.reply_lsn);
   }
 
-  uint64_t before = log.head_base();
-  uint64_t point = ComputeTruncationPoint();
-  if (point <= before) return 0;
-  log.TrimHead(point);
-  uint64_t reclaimed = point - before;
-  sim->metrics()
-      .GetCounter("phoenix.checkpoint.bytes_reclaimed",
-                  obs::LabelSet{{"process", label}})
-      .Increment(reclaimed);
-  sim->tracer().Instant("checkpoint", "trim", label, sim->Current(),
-                        {obs::Arg("head", point), obs::Arg("bytes", reclaimed)});
+  uint64_t reclaimed = 0;
+  for (uint32_t s = 0; s < log.shard_count(); ++s) {
+    // An unpinned shard is read by recovery only from the published
+    // checkpoint's order on: cut at its first record at or past that order.
+    uint64_t cut = point[s] == kInvalidLsn
+                       ? log.ShardOffsetOfOrder(s, *begin_order)
+                       : std::min(point[s], log.shard_stable_end(s));
+    uint64_t before = log.shard_head_base(s);
+    if (cut <= before) continue;
+    log.TrimShardHead(s, cut);
+    reclaimed += cut - before;
+    sim->tracer().Instant("checkpoint", "trim", label, sim->Current(),
+                          {obs::Arg("head", MakeShardLsn(s, cut)),
+                           obs::Arg("bytes", cut - before)});
+  }
+  if (reclaimed > 0) {
+    sim->metrics()
+        .GetCounter("phoenix.checkpoint.bytes_reclaimed",
+                    obs::LabelSet{{"process", label}})
+        .Increment(reclaimed);
+  }
   return reclaimed;
 }
 

@@ -67,17 +67,14 @@ class CheckpointManager {
   Status RunAsyncSweep();
 
   // Log truncation (an engineering necessity checkpoints enable, though the
-  // paper stops short of it): everything below the returned LSN can never
-  // be read again — it is below the published checkpoint, below every
-  // context's recovery LSN, and below every live last-call reply record.
-  // Single-log only; the sharded path computes per-shard points instead.
-  uint64_t ComputeTruncationPoint() const;
-
-  // Trims the log head to the truncation point — per shard on a sharded
-  // WAL, where each shard's point is the minimum local offset any
-  // constraint pins on *that* shard (a shard no constraint touches trims
-  // up to the published checkpoint's global sequence number). Returns
-  // bytes reclaimed, summed across shards.
+  // paper stops short of it): trims each shard's head to the lowest offset
+  // recovery can still read there — below the published checkpoint, below
+  // every context's recovery LSN, below every live last-call reply record,
+  // and below every LSN an in-flight or published checkpoint references.
+  // Each constraint pins the shard its record lives on; a shard nothing
+  // pins trims up to its first record at or past the published
+  // checkpoint's order. On a single log that is one cut at the minimum of
+  // every constraint. Returns bytes reclaimed, summed across shards.
   uint64_t GarbageCollect();
 
   // --- statistics ---

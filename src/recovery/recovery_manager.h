@@ -10,29 +10,11 @@
 #include "runtime/last_call_table.h"
 #include "runtime/remote_type_table.h"
 #include "wal/log_record.h"
-#include "wal/merged_log_reader.h"
 
 namespace phoenix {
 
 class Process;
 
-// Two-pass crash recovery of a process (§4.4).
-//
-// Pass 1 scans from the published checkpoint (well-known-file LSN; the whole
-// log when none) to the end, collecting every context that existed at the
-// crash with its newest state-record/creation LSN, plus the checkpointed
-// global tables. Contexts with state records are then restored field by
-// field.
-//
-// Pass 2 scans from the minimum recovery LSN, buffering each context's
-// message records per incoming call and replaying a call once the next
-// incoming record arrives; outgoing calls are answered from the buffered
-// replies and suppressed (Figure 5). The final buffered call of each
-// context replays last and may run into live execution when a logged reply
-// is missing — its outgoing calls then really go out, with the same
-// deterministic IDs, and the servers eliminate duplicates. Replies of
-// replayed calls go to the recovery manager, never to clients
-// (condition 5).
 // Recovers a single failed context (§4.4's "easier" case): the process and
 // its tables survive, only `context_id`'s component instances were lost
 // (Context::ClearMembers). The state record LSN is read from the surviving
@@ -56,6 +38,35 @@ enum class RecoveryMode : int {
 
 const char* RecoveryModeName(RecoveryMode mode);
 
+// Two-pass crash recovery of a process (§4.4), over one record stream.
+//
+// Every pass reads the log through LogManager::Cursor, which yields
+// (lsn, order, record) in append order whatever the WAL layout: a single
+// log is a one-shard stream whose order is the LSN itself, a sharded log a
+// lazy k-way merge of its shards by global sequence number. Cross-context
+// decisions (the scan cut, the below-origin filter, end-of-log flush order)
+// compare orders; a context's own records share one shard, so comparisons
+// among them may use LSNs.
+//
+// A damage assessment runs first: it validates the well-known-file pointer,
+// amputates torn tails, and widens the scan to the whole log when an
+// unreadable region lies above the cut (see AssessAndSalvageLog).
+//
+// Pass 1 scans from the published checkpoint (well-known-file LSN; the whole
+// log when none) to the end, collecting every context that existed at the
+// crash with its newest state-record/creation LSN, plus the checkpointed
+// global tables. Contexts with state records are then restored field by
+// field.
+//
+// Pass 2 scans from the minimum recovery order, buffering each context's
+// message records per incoming call and replaying a call once the next
+// incoming record arrives; outgoing calls are answered from the buffered
+// replies and suppressed (Figure 5). The final buffered call of each
+// context replays last and may run into live execution when a logged reply
+// is missing — its outgoing calls then really go out, with the same
+// deterministic IDs, and the servers eliminate duplicates. Replies of
+// replayed calls go to the recovery manager, never to clients
+// (condition 5).
 class RecoveryManager {
  public:
   explicit RecoveryManager(Process* process,
@@ -79,35 +90,29 @@ class RecoveryManager {
   // Per-context facts gathered in pass 1.
   struct ContextInfo {
     uint64_t recovery_lsn = kInvalidLsn;
-    // Sharded WAL only: the global sequence number of the origin record.
-    // Composite LSNs of different shards compare by shard id, so every
-    // cross-context ordering decision (scan cuts, below-origin filtering)
-    // uses this instead of recovery_lsn. kInvalidLsn on a single log.
+    // Order of the origin record (== recovery_lsn on a single log; for the
+    // activator, the scan cut). Composite LSNs of different shards compare
+    // by shard id, so every cross-context ordering decision (scan cuts,
+    // below-origin filtering) uses this instead of recovery_lsn.
     uint64_t recovery_order = kInvalidLsn;
     uint64_t checkpoint_last_outgoing_seq = 0;
     bool restored_from_state = false;
   };
 
   // Damage assessment before the costed passes: validates the well-known
-  // LSN (falling back to a full scan from the head base when it is corrupt
-  // or dangling), physically amputates a torn stable tail, and falls back
-  // to a full scan when unreadable mid-log regions could hide checkpoint
-  // table records. Returns the (possibly lowered) scan start. Every
-  // degradation decision emits a phoenix.recovery.salvage.* metric and a
-  // tracer instant.
+  // LSN (falling back to a full scan from the retained head when it is
+  // corrupt or dangling), physically amputates torn tails shard by shard,
+  // and falls back to a full scan when an unreadable mid-log region lies
+  // above the scan cut (the next readable record after it has a greater
+  // order), since it could hide checkpoint table records. Returns the scan
+  // cut as a record order. Every degradation decision emits a
+  // phoenix.recovery.salvage.* metric and a tracer instant.
   uint64_t AssessAndSalvageLog();
-  // Sharded-WAL equivalent: per-shard damage probes and torn-tail
-  // amputation, well-known-file validation against shard 0, then one
-  // materialized k-way merge of all shards by global sequence number
-  // (stored in merged_, with an lsn -> order index). Returns the scan-start
-  // *order* — the begin-checkpoint record's gsn, or 0 for a full scan.
-  uint64_t AssessAndSalvageShardedLog();
 
-  Status PassOne(uint64_t start_lsn);
-  // Pass 1 over the merged record stream, processing records with
-  // order >= start_order. Same handlers and costs as PassOne; origin
-  // bookkeeping additionally tracks each origin's global sequence number.
-  Status PassOneSharded(uint64_t start_order);
+  Status PassOne(uint64_t start_order);
+  // Order of the stable record at `lsn`; kInvalidLsn when `lsn` is invalid
+  // or its record unreadable.
+  uint64_t OrderOf(uint64_t lsn) const;
   Status RestoreContextStates();
   // Restores one context from the record at info.recovery_lsn; kCorruption
   // when the record is unreadable or of the wrong type.
@@ -118,24 +123,14 @@ class RecoveryManager {
   uint64_t FindFallbackOrigin(uint64_t context_id, uint64_t bad_lsn);
   void InstallTables();
   Status PassTwo();
-  // Pass 2 over the merged record stream: identical buffering/flush logic,
-  // with below-origin filtering by global sequence number (same-context
-  // records share a shard, but origins and records of different contexts
-  // do not).
-  Status PassTwoSharded();
   // Plan-driven parallel pass 2 (recovery/replay_plan.h), attempted when
-  // RuntimeOptions.parallel_replay is on: builds the chain/edge plan,
-  // replays non-final units as overlapping sessions, then runs the
-  // sequential end-of-log flush over each chain's final unit. Returns true
-  // when it ran to a decision (*result holds the status); false to fall
-  // back to the sequential scan (ambiguous salvaged log, nested scheduler,
-  // or fewer than two chains).
-  // `scan_start` is an LSN on a single log, a global sequence number on a
-  // sharded one (the plan is then built from the merged record stream).
+  // RuntimeOptions.parallel_replay is on: builds the chain/edge plan from
+  // `scan_start` (a record order), replays non-final units as overlapping
+  // sessions, then runs the sequential end-of-log flush over each chain's
+  // final unit. Returns true when it ran to a decision (*result holds the
+  // status); false to fall back to the sequential scan (ambiguous salvaged
+  // log, nested scheduler, or fewer than two chains).
   bool TryParallelPassTwo(uint64_t scan_start, Status* result);
-  // Order of the merged-scan record at composite `lsn` (kInvalidLsn when
-  // the record is not in the merged stream — damaged or truncated away).
-  uint64_t OrderOfLsn(uint64_t lsn) const;
   // Cold-start replacement for pass 2 (RecoveryMode::kColdStart): replays
   // only the creation of contexts with no saved state so components
   // initialize; every logged message after the origins is abandoned.
@@ -149,10 +144,6 @@ class RecoveryManager {
   Process* process_;
   RecoveryMode mode_;
   Stats stats_;
-  // Sharded WAL only: the materialized merge of all shard logs by global
-  // sequence number, and the composite-lsn -> order index over it.
-  MergedLogScan merged_;
-  std::map<uint64_t, uint64_t> order_of_lsn_;
   std::map<uint64_t, ContextInfo> infos_;
   std::map<LastCallTable::Key, LastCallEntry> rebuilt_last_calls_;
   std::map<std::string, RemoteTypeInfo> rebuilt_remote_types_;

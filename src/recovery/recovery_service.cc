@@ -1,6 +1,7 @@
 #include "recovery/recovery_service.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "common/strings.h"
 #include "core/retry.h"
@@ -10,6 +11,7 @@
 #include "runtime/simulation.h"
 #include "serde/codec.h"
 #include "wal/log_reader.h"
+#include "wal/shard_router.h"
 
 namespace phoenix {
 namespace {
@@ -92,6 +94,23 @@ Status RecoveryService::EnsureProcessAlive(uint32_t pid) {
   return SuperviseRecovery(pid, process);
 }
 
+void CorruptNewestStateRecord(const LogManager& log, StableStorage& storage) {
+  uint64_t state_lsn = kInvalidLsn;
+  uint64_t state_order = 0;
+  LogCursor cursor = log.Cursor(log.head_order());
+  while (auto parsed = cursor.Next()) {
+    if (std::holds_alternative<ContextStateRecord>(parsed->record) &&
+        (state_lsn == kInvalidLsn || parsed->order > state_order)) {
+      state_lsn = parsed->lsn;
+      state_order = parsed->order;
+    }
+  }
+  if (state_lsn == kInvalidLsn) return;
+  // +8 lands inside the payload, past the length/CRC header.
+  storage.CorruptLog(log.shard_log_name(ShardOfLsn(state_lsn)),
+                     LocalOfLsn(state_lsn) + 8, /*flip_count=*/2);
+}
+
 void RecoveryService::ApplyRecoveryAttacks(Process* process,
                                            uint64_t attempt) {
   Simulation* sim = machine_->simulation();
@@ -105,38 +124,9 @@ void RecoveryService::ApplyRecoveryAttacks(Process* process,
       case RecoveryAttack::kCorruptWellKnownFile:
         sim->storage().CorruptFile(log_name + ".wkf", 0, /*flip_count=*/2);
         break;
-      case RecoveryAttack::kCorruptNewestStateRecord: {
-        // Newest by append order — on a sharded WAL the state records are
-        // spread across shards, so "newest" means highest global sequence
-        // number, and the bit flips land in that shard's file.
-        LogManager& log = process->log();
-        uint64_t state_lsn = kInvalidLsn;
-        uint64_t state_order = 0;
-        uint32_t state_shard = 0;
-        for (uint32_t s = 0; s < log.shard_count(); ++s) {
-          LogView view = log.ShardStableView(s);
-          LogReader reader(view, log.shard_head_base(s));
-          reader.EnableSalvage();
-          if (log.sharded()) reader.EnableGsnPrefix();
-          while (auto parsed = reader.Next()) {
-            if (!std::holds_alternative<ContextStateRecord>(parsed->record)) {
-              continue;
-            }
-            uint64_t order = log.sharded() ? parsed->order : parsed->lsn;
-            if (state_lsn == kInvalidLsn || order > state_order) {
-              state_lsn = parsed->lsn;
-              state_order = order;
-              state_shard = s;
-            }
-          }
-        }
-        if (state_lsn != kInvalidLsn) {
-          sim->storage().CorruptLog(log.shard_log_name(state_shard),
-                                    state_lsn + 8,
-                                    /*flip_count=*/2);
-        }
+      case RecoveryAttack::kCorruptNewestStateRecord:
+        CorruptNewestStateRecord(process->log(), sim->storage());
         break;
-      }
       case RecoveryAttack::kTearStableTail:
         process->InjectTornTail(24);
         break;

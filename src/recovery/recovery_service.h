@@ -9,8 +9,17 @@
 
 namespace phoenix {
 
+class LogManager;
 class Machine;
 class Process;
+class StableStorage;
+
+// Storage attack: flips two bits inside the payload of the newest (in
+// append order) readable context-state record on `log`'s stable image, in
+// the file of the shard that holds it. No-op when there is none. Applied by
+// the supervisor (RecoveryAttack::kCorruptNewestStateRecord) and by the
+// chaos harness.
+void CorruptNewestStateRecord(const LogManager& log, StableStorage& storage);
 
 // The per-machine recovery service (Figure 4 / §2.4). Processes hosting
 // persistent components register at start; the service assigns their

@@ -1,6 +1,7 @@
 #include "recovery/replay_plan.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -69,31 +70,41 @@ void ComputeCosts(ReplayPlan& plan, double unit_ms) {
   plan.critical_path_ms = critical;
 }
 
-// Incremental chain/edge construction shared by the single-log scan and the
-// sharded record-stream planner. `order` is the record's replay order: the
-// LSN itself on a single log, the global sequence number on a sharded WAL.
+// Incremental chain/edge construction, fed one record at a time in append
+// order by whichever adapter below holds the log. `order` is the record's
+// replay order (LogCursor's order: the LSN on a single log, the gsn on a
+// sharded one); below-origin filtering compares it against
+// inputs.origin_orders.
 class PlanBuilder {
  public:
-  PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs,
-              bool order_origins)
-      : plan_(plan), inputs_(inputs), order_origins_(order_origins) {}
+  PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs)
+      : plan_(plan), inputs_(inputs) {}
+
+  void OnRecord(uint64_t lsn, uint64_t order, const LogRecord& record) {
+    ++plan_.records_scanned;
+    if (const auto* creation = std::get_if<CreationRecord>(&record)) {
+      OnCreation(lsn, order, *creation);
+    } else if (const auto* incoming =
+                   std::get_if<IncomingCallRecord>(&record)) {
+      OnIncoming(lsn, order, *incoming);
+    } else if (const auto* reply = std::get_if<ReplyReceivedRecord>(&record)) {
+      OnReply(lsn, *reply);
+    }
+    // Other record types were pass 1's business.
+  }
+
+ private:
+  // kInvalidLsn when the context has no known origin order.
+  uint64_t OriginOrder(uint64_t context_id) const {
+    auto it = inputs_.origin_orders.find(context_id);
+    return it == inputs_.origin_orders.end() ? kInvalidLsn : it->second;
+  }
 
   void OnCreation(uint64_t lsn, uint64_t order, const CreationRecord& rec) {
     // Only the origin creation record opens a chain; newer duplicates
     // (re-creations appended by a previous recovery) replay nothing.
-    if (order_origins_) {
-      auto it = inputs_.origin_orders.find(rec.context_id);
-      if (it == inputs_.origin_orders.end() || it->second == kInvalidLsn ||
-          order != it->second) {
-        return;
-      }
-    } else {
-      auto it = inputs_.origins.find(rec.context_id);
-      if (it == inputs_.origins.end() || it->second == kInvalidLsn ||
-          lsn != it->second) {
-        return;
-      }
-    }
+    uint64_t origin = OriginOrder(rec.context_id);
+    if (origin == kInvalidLsn || order != origin) return;
     PendingReplay unit;
     unit.is_creation = true;
     unit.start_lsn = lsn;
@@ -104,20 +115,11 @@ class PlanBuilder {
 
   void OnIncoming(uint64_t lsn, uint64_t order,
                   const IncomingCallRecord& rec) {
-    if (order_origins_) {
-      if (inputs_.origins.find(rec.context_id) == inputs_.origins.end()) {
-        return;
-      }
-      auto it = inputs_.origin_orders.find(rec.context_id);
-      if (it != inputs_.origin_orders.end() && it->second != kInvalidLsn &&
-          order < it->second) {
-        return;
-      }
-    } else {
-      auto it = inputs_.origins.find(rec.context_id);
-      if (it == inputs_.origins.end()) return;
-      if (it->second != kInvalidLsn && lsn < it->second) return;
+    if (inputs_.origins.find(rec.context_id) == inputs_.origins.end()) {
+      return;
     }
+    uint64_t origin = OriginOrder(rec.context_id);
+    if (origin != kInvalidLsn && order < origin) return;
 
     PendingReplay unit;
     unit.start_lsn = lsn;
@@ -154,7 +156,6 @@ class PlanBuilder {
     }
   }
 
- private:
   // The chain's currently-open unit: the one whose execution covers this
   // point of the log (its last planned unit, units being closed only by the
   // context's next incoming call).
@@ -182,9 +183,6 @@ class PlanBuilder {
 
   ReplayPlan& plan_;
   const ReplayPlanInputs& inputs_;
-  // Sharded mode: below-origin filtering compares global sequence numbers
-  // (inputs.origin_orders) instead of LSNs.
-  bool order_origins_;
   std::map<uint64_t, uint32_t> chain_of_;  // context id -> chain index
 };
 
@@ -251,37 +249,96 @@ void DigestSalvageAndFinalize(ReplayPlan& plan,
   ComputeCosts(plan, replay_call_ms);
 }
 
+// A plain single-log image read from `scan_start`: order == lsn.
+LogCursor PlainCursor(const LogView& log, uint64_t scan_start) {
+  LogCursor cursor;
+  cursor.AddShard(0, log, scan_start, /*gsn_prefixed=*/false);
+  return cursor;
+}
+
+ReplayPlan PlanFromCursor(LogCursor cursor, const ReplayPlanInputs& inputs) {
+  ReplayPlan plan;
+  PlanBuilder builder(plan, inputs);
+  while (auto parsed = cursor.Next()) {
+    builder.OnRecord(parsed->lsn, parsed->order, parsed->record);
+  }
+  DigestSalvageAndFinalize(plan, cursor.unreadable(), inputs.replay_call_ms);
+  return plan;
+}
+
+// Pass 1's origin bookkeeping, fed one record at a time in append order.
+// `order_of` maps a checkpoint entry's recovery LSN to its record's order
+// (kInvalidLsn when unknown); upgrade comparisons run in order space.
+class OriginTracker {
+ public:
+  OriginTracker(std::map<uint64_t, uint64_t>* origins,
+                std::map<uint64_t, uint64_t>* origin_orders,
+                std::function<uint64_t(uint64_t)> order_of)
+      : origins_(origins),
+        origin_orders_(origin_orders),
+        order_of_(std::move(order_of)) {}
+
+  void OnRecord(uint64_t lsn, uint64_t order, const LogRecord& record) {
+    if (const auto* e = std::get_if<CheckpointContextEntryRecord>(&record)) {
+      uint64_t entry_order = e->recovery_lsn == kInvalidLsn
+                                 ? kInvalidLsn
+                                 : order_of_(e->recovery_lsn);
+      auto it = origins_->find(e->context_id);
+      if (it == origins_->end() || it->second == kInvalidLsn ||
+          (entry_order != kInvalidLsn &&
+           ((*origin_orders_)[e->context_id] == kInvalidLsn ||
+            entry_order > (*origin_orders_)[e->context_id]))) {
+        Set(e->context_id, e->recovery_lsn, entry_order);
+      }
+    } else if (const auto* c = std::get_if<CreationRecord>(&record)) {
+      auto it = origins_->find(c->context_id);
+      if (it == origins_->end() || it->second == kInvalidLsn) {
+        Set(c->context_id, lsn, order);
+      }
+    } else if (const auto* s = std::get_if<ContextStateRecord>(&record)) {
+      Set(s->context_id, lsn, order);
+    }
+  }
+
+  void Consume(LogCursor cursor) {
+    while (auto parsed = cursor.Next()) {
+      OnRecord(parsed->lsn, parsed->order, parsed->record);
+    }
+  }
+
+  // The activator context always recovers by replay from the scan start.
+  void Finish(uint64_t start_lsn, uint64_t start_order) {
+    auto it = origins_->find(0);
+    if (it == origins_->end() || it->second == kInvalidLsn) {
+      Set(0, start_lsn, start_order);
+    }
+  }
+
+ private:
+  void Set(uint64_t context_id, uint64_t lsn, uint64_t order) {
+    (*origins_)[context_id] = lsn;
+    (*origin_orders_)[context_id] = order;
+  }
+
+  std::map<uint64_t, uint64_t>* origins_;
+  std::map<uint64_t, uint64_t>* origin_orders_;
+  std::function<uint64_t(uint64_t)> order_of_;
+};
+
 }  // namespace
+
+ReplayPlan BuildReplayPlan(const LogManager& log, uint64_t start_order,
+                           const ReplayPlanInputs& inputs) {
+  return PlanFromCursor(log.Cursor(start_order), inputs);
+}
 
 ReplayPlan BuildReplayPlan(const LogView& log, uint64_t scan_start,
                            const ReplayPlanInputs& inputs) {
-  ReplayPlan plan;
-  PlanBuilder builder(plan, inputs, /*order_origins=*/false);
-
-  LogReader reader(log, scan_start);
-  reader.EnableSalvage();
-  while (auto parsed = reader.Next()) {
-    ++plan.records_scanned;
-    uint64_t lsn = parsed->lsn;
-    if (const auto* creation = std::get_if<CreationRecord>(&parsed->record)) {
-      builder.OnCreation(lsn, /*order=*/lsn, *creation);
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&parsed->record)) {
-      builder.OnIncoming(lsn, /*order=*/lsn, *incoming);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&parsed->record)) {
-      builder.OnReply(lsn, *reply);
-    }
-    // Other record types were pass 1's business.
+  ReplayPlanInputs plain = inputs;
+  for (const auto& [context_id, lsn] : inputs.origins) {
+    plain.origin_orders.try_emplace(context_id, lsn);  // order == lsn
   }
-
-  std::vector<SkippedRange> gaps = reader.skipped_ranges();
-  if (reader.tail_torn()) {
-    gaps.push_back(SkippedRange{reader.torn_offset(),
-                                log.base + (log.bytes ? log.bytes->size() : 0)});
-  }
-  DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
-  return plan;
+  return PlanFromCursor(PlainCursor(log, scan_start), plain);
 }
 
 ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
@@ -289,51 +346,34 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
                                       uint64_t start_order,
                                       const ReplayPlanInputs& inputs) {
   ReplayPlan plan;
-  PlanBuilder builder(plan, inputs, /*order_origins=*/true);
-
+  PlanBuilder builder(plan, inputs);
   for (const OrderedRecord& rec : records) {
-    if (rec.order < start_order) continue;
-    ++plan.records_scanned;
-    if (const auto* creation = std::get_if<CreationRecord>(&rec.record)) {
-      builder.OnCreation(rec.lsn, rec.order, *creation);
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&rec.record)) {
-      builder.OnIncoming(rec.lsn, rec.order, *incoming);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&rec.record)) {
-      builder.OnReply(rec.lsn, *reply);
+    if (rec.order >= start_order) {
+      builder.OnRecord(rec.lsn, rec.order, rec.record);
     }
   }
-
   DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
   return plan;
+}
+
+void DeriveReplayOrigins(const LogManager& log,
+                         std::map<uint64_t, uint64_t>* origins,
+                         std::map<uint64_t, uint64_t>* origin_orders) {
+  OriginTracker tracker(origins, origin_orders, [&log](uint64_t lsn) {
+    Result<uint64_t> order = log.OrderOfRecordAt(lsn);
+    return order.ok() ? *order : kInvalidLsn;
+  });
+  tracker.Consume(log.Cursor(log.head_order()));
+  tracker.Finish(kInvalidLsn, log.head_order());
 }
 
 std::map<uint64_t, uint64_t> DeriveReplayOrigins(const LogView& log,
                                                  uint64_t scan_start) {
   std::map<uint64_t, uint64_t> origins;
-  LogReader reader(log, scan_start);
-  reader.EnableSalvage();
-  while (auto parsed = reader.Next()) {
-    uint64_t lsn = parsed->lsn;
-    if (const auto* e =
-            std::get_if<CheckpointContextEntryRecord>(&parsed->record)) {
-      auto [it, inserted] = origins.try_emplace(e->context_id, kInvalidLsn);
-      if (it->second == kInvalidLsn ||
-          (e->recovery_lsn != kInvalidLsn && e->recovery_lsn > it->second)) {
-        it->second = e->recovery_lsn;
-      }
-    } else if (const auto* c = std::get_if<CreationRecord>(&parsed->record)) {
-      auto [it, inserted] = origins.try_emplace(c->context_id, lsn);
-      if (it->second == kInvalidLsn) it->second = lsn;
-    } else if (const auto* s =
-                   std::get_if<ContextStateRecord>(&parsed->record)) {
-      origins[s->context_id] = lsn;
-    }
-  }
-  // The activator context always recovers by replay from the scan start.
-  auto [it, inserted] = origins.try_emplace(0, scan_start);
-  if (it->second == kInvalidLsn) it->second = scan_start;
+  std::map<uint64_t, uint64_t> orders;
+  OriginTracker tracker(&origins, &orders, [](uint64_t lsn) { return lsn; });
+  tracker.Consume(PlainCursor(log, scan_start));
+  tracker.Finish(scan_start, scan_start);
   return origins;
 }
 
@@ -343,45 +383,15 @@ void DeriveReplayOriginsFromRecords(
     std::map<uint64_t, uint64_t>* origin_orders) {
   std::map<uint64_t, uint64_t> order_of;
   for (const OrderedRecord& rec : records) order_of[rec.lsn] = rec.order;
-  auto order_or_invalid = [&order_of](uint64_t lsn) {
+  OriginTracker tracker(origins, origin_orders, [&order_of](uint64_t lsn) {
     auto it = order_of.find(lsn);
     return it == order_of.end() ? kInvalidLsn : it->second;
-  };
-  auto set = [&](uint64_t context_id, uint64_t lsn, uint64_t order) {
-    (*origins)[context_id] = lsn;
-    (*origin_orders)[context_id] = order;
-  };
+  });
   for (const OrderedRecord& rec : records) {
-    if (const auto* e =
-            std::get_if<CheckpointContextEntryRecord>(&rec.record)) {
-      uint64_t entry_order = e->recovery_lsn == kInvalidLsn
-                                 ? kInvalidLsn
-                                 : order_or_invalid(e->recovery_lsn);
-      auto it = origins->find(e->context_id);
-      if (it == origins->end()) {
-        set(e->context_id, e->recovery_lsn, entry_order);
-      } else if (it->second == kInvalidLsn ||
-                 (entry_order != kInvalidLsn &&
-                  ((*origin_orders)[e->context_id] == kInvalidLsn ||
-                   entry_order > (*origin_orders)[e->context_id]))) {
-        set(e->context_id, e->recovery_lsn, entry_order);
-      }
-    } else if (const auto* c = std::get_if<CreationRecord>(&rec.record)) {
-      auto it = origins->find(c->context_id);
-      if (it == origins->end() || it->second == kInvalidLsn) {
-        set(c->context_id, rec.lsn, rec.order);
-      }
-    } else if (const auto* s = std::get_if<ContextStateRecord>(&rec.record)) {
-      set(s->context_id, rec.lsn, rec.order);
-    }
+    tracker.OnRecord(rec.lsn, rec.order, rec.record);
   }
-  // The activator context always recovers by replay from the scan start.
-  uint64_t start_lsn = records.empty() ? kInvalidLsn : records.front().lsn;
-  uint64_t start_order = records.empty() ? 0 : records.front().order;
-  auto it = origins->find(0);
-  if (it == origins->end() || it->second == kInvalidLsn) {
-    set(0, start_lsn, start_order);
-  }
+  tracker.Finish(records.empty() ? kInvalidLsn : records.front().lsn,
+                 records.empty() ? 0 : records.front().order);
 }
 
 }  // namespace phoenix

@@ -136,36 +136,39 @@ struct ReplayPlanInputs {
   // context's origin are covered by its restored state and are not planned.
   // Contexts absent from the map are ignored entirely.
   std::map<uint64_t, uint64_t> origins;
-  // Sharded WALs only (BuildReplayPlanFromRecords): the global sequence
-  // number of each context's origin record. Composite LSNs of different
-  // shards are not comparable, so the record-stream planner filters by
-  // order instead of LSN. A context present in `origins` but absent here
-  // (or mapped to kInvalidLsn) is planned without a below-origin cut.
+  // The order (LogManager's append order: gsn on a sharded log, the LSN on
+  // a single one) of each context's origin record. The below-origin cut and
+  // the origin-creation match compare orders, because composite LSNs of
+  // different shards are not comparable. A context present in `origins` but
+  // absent here (or mapped to kInvalidLsn) is planned without a
+  // below-origin cut. BuildReplayPlan(LogView) fills it from `origins`.
   std::map<uint64_t, uint64_t> origin_orders;
   // Modelled cost of replaying one unit (CostModel::recovery_replay_call_ms)
   // for the critical-path estimate.
   double replay_call_ms = 0.13;
 };
 
-// Scans `log` once from `scan_start` (salvage-tolerant) and builds the
-// chain/edge plan. Pure analysis: never touches the clock, the process or
-// any component. Mid-scan damage no longer aborts planning: the scan
-// salvages past it and demotes only the chains whose unit extents the
-// damage intersected (fallback = kSalvagedLog only when fewer than two
-// eligible chains survive).
+// Scans `log` once from `start_order` (salvage-tolerant, through
+// LogManager::Cursor) and builds the chain/edge plan. Pure analysis: never
+// touches the clock, the process or any component. Mid-scan damage does
+// not abort planning: the scan salvages past it and demotes only the
+// chains whose unit extents the damage intersected (fallback =
+// kSalvagedLog only when fewer than two eligible chains survive). All
+// ordering (topological cost order, demoted-unit serialization) keys on
+// record order; gaps and extents are composite LSNs, so a gap on shard j is
+// provably disjoint from every extent on shard k != j.
+ReplayPlan BuildReplayPlan(const LogManager& log, uint64_t start_order,
+                           const ReplayPlanInputs& inputs);
+
+// The same planner over one plain log image from `scan_start`, where order
+// == LSN (inputs.origins doubles as origin_orders).
 ReplayPlan BuildReplayPlan(const LogView& log, uint64_t scan_start,
                            const ReplayPlanInputs& inputs);
 
-// Sharded-WAL planner: consumes an already-merged record stream
-// (wal/merged_log_reader.h) instead of scanning a single log. Records with
-// order < start_order are ignored (they precede the published checkpoint);
-// `gaps` carries the per-shard salvage damage in composite coordinates
-// (skipped ranges plus torn tails widened to each shard's stable end), so
-// the same per-chain demotion rule applies — composite coordinates make a
-// gap on shard j provably disjoint from every extent on shard k != j.
-// Chain and edge semantics are identical to BuildReplayPlan; all ordering
-// (topological cost order, demoted-unit serialization) keys on the global
-// sequence number.
+// The same planner over an already-materialized record stream
+// (ScanShardedLog): records with order < start_order are ignored, and
+// `gaps` carries the salvage damage in composite coordinates (skipped
+// ranges plus torn tails widened to each shard's end).
 ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
                                       const std::vector<SkippedRange>& gaps,
                                       uint64_t start_order,
@@ -173,16 +176,24 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
 
 // Replicates pass 1's replay-origin bookkeeping for callers that have no
 // RecoveryManager at hand (tools, tests): newest state record per context,
-// else first creation record, refined by checkpoint context entries.
+// else first creation record, refined by checkpoint context entries —
+// whose recovery LSN displaces a known origin only when its record's order
+// is known and newer. Fills both the origin LSNs and their orders. The
+// activator context (0) has no origin record unless one was found (origin
+// kInvalidLsn): it replays from the head of the retained log, order
+// log.head_order().
+void DeriveReplayOrigins(const LogManager& log,
+                         std::map<uint64_t, uint64_t>* origins,
+                         std::map<uint64_t, uint64_t>* origin_orders);
+
+// The same over one plain log image scanned from `scan_start` (order ==
+// LSN); returns the origin LSNs.
 std::map<uint64_t, uint64_t> DeriveReplayOrigins(const LogView& log,
                                                  uint64_t scan_start);
 
-// Merged-stream variant for sharded WALs (tools, tests): the same
-// bookkeeping over an ordered record stream, filling both the composite-LSN
-// origins and their global-sequence orders (ReplayPlanInputs::origin_orders).
-// Upgrade comparisons run in order space — composite LSNs of different
-// shards are not comparable. A checkpoint entry whose recovery LSN is not in
-// `records` (trimmed below a shard head) never displaces a known origin.
+// The same over a materialized record stream; a checkpoint entry whose
+// recovery LSN is not in `records` (trimmed below a shard head) never
+// displaces a known origin.
 void DeriveReplayOriginsFromRecords(
     const std::vector<OrderedRecord>& records,
     std::map<uint64_t, uint64_t>* origins,

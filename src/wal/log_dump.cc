@@ -1,7 +1,5 @@
 #include "wal/log_dump.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 #include "runtime/kinds.h"
 #include "wal/shard_router.h"
@@ -208,13 +206,11 @@ std::string DumpLog(const LogView& view, const std::vector<ForceMark>& marks,
 std::string DumpShardedLogs(const std::vector<ShardDumpInput>& shards,
                             const LogAnnotations& annotations) {
   std::string out;
-  struct MergeEntry {
-    uint64_t order;
-    uint32_t shard;
-    uint64_t composite_lsn;
-    std::string description;
-  };
-  std::vector<MergeEntry> merged;
+  LogCursor merged;  // the merge view reads the same images
+  for (const ShardDumpInput& input : shards) {
+    merged.AddShard(input.shard, input.view, input.view.base,
+                    /*gsn_prefixed=*/true);
+  }
 
   for (const ShardDumpInput& input : shards) {
     out += StrCat("--- shard ", input.shard, ": ", input.log_name, " ---\n");
@@ -243,16 +239,13 @@ std::string DumpShardedLogs(const std::vector<ShardDumpInput>& shards,
                       " byte(s) skipped at lsn ", range.from_lsn, ")\n");
       }
       emit_marks_below(parsed->lsn);
-      std::string description = DescribeRecord(parsed->record);
       uint64_t composite = MakeShardLsn(input.shard, parsed->lsn);
       out += StrCat("  lsn ", parsed->lsn, "  gsn ", parsed->order, "  ",
-                    description);
+                    DescribeRecord(parsed->record));
       if (auto it = annotations.find(composite); it != annotations.end()) {
         out += StrCat("  ", it->second);
       }
       out += "\n";
-      merged.push_back(MergeEntry{parsed->order, input.shard, composite,
-                                  std::move(description)});
     }
     while (printed_skips < reader.skipped_ranges().size()) {
       const SkippedRange& range = reader.skipped_ranges()[printed_skips++];
@@ -268,17 +261,12 @@ std::string DumpShardedLogs(const std::vector<ShardDumpInput>& shards,
     }
   }
 
-  std::sort(merged.begin(), merged.end(),
-            [](const MergeEntry& a, const MergeEntry& b) {
-              return a.order != b.order ? a.order < b.order
-                                        : a.shard < b.shard;
-            });
   out += "--- merge view (by gsn) ---\n";
-  for (const MergeEntry& entry : merged) {
-    out += StrCat("  gsn ", entry.order, "  shard ", entry.shard, "  lsn ",
-                  LocalOfLsn(entry.composite_lsn), "  ", entry.description);
-    if (auto it = annotations.find(entry.composite_lsn);
-        it != annotations.end()) {
+  while (auto parsed = merged.Next()) {
+    out += StrCat("  gsn ", parsed->order, "  shard ", ShardOfLsn(parsed->lsn),
+                  "  lsn ", LocalOfLsn(parsed->lsn), "  ",
+                  DescribeRecord(parsed->record));
+    if (auto it = annotations.find(parsed->lsn); it != annotations.end()) {
       out += StrCat("  ", it->second);
     }
     out += "\n";

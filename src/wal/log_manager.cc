@@ -1,5 +1,7 @@
 #include "wal/log_manager.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/strings.h"
 
@@ -32,14 +34,8 @@ std::string LogManager::shard_log_name(uint32_t shard) const {
 
 void LogManager::RecoverNextGsn() {
   uint64_t max_gsn = 0;
-  for (uint32_t s = 0; s < shard_count_; ++s) {
-    LogReader reader(ShardStableView(s), shard_head_base(s));
-    reader.EnableSalvage();
-    reader.EnableGsnPrefix();
-    while (auto parsed = reader.Next()) {
-      if (parsed->order > max_gsn) max_gsn = parsed->order;
-    }
-  }
+  LogCursor cursor = Cursor(0);
+  while (auto parsed = cursor.Next()) max_gsn = std::max(max_gsn, parsed->order);
   next_gsn_ = max_gsn + 1;
 }
 
@@ -156,25 +152,65 @@ void LogManager::TruncateStableTail(uint64_t end_lsn) {
   }
 }
 
-Result<LogRecord> LogManager::ReadRecordAtLsn(uint64_t lsn) const {
-  if (!sharded()) return ReadRecordAt(StableView(), lsn);
+Result<LogRecord> LogManager::ReadRecordAtLsn(uint64_t lsn,
+                                             uint64_t* order_out) const {
+  if (!sharded()) {
+    if (order_out != nullptr) *order_out = lsn;  // position is the order
+    return ReadRecordAt(StableView(), lsn);
+  }
   if (lsn == kInvalidLsn) return Status::Corruption("invalid lsn");
   uint32_t shard = ShardOfLsn(lsn);
   if (shard >= shard_count_) return Status::Corruption("lsn shard out of range");
-  return ReadPrefixedRecordAt(ShardStableView(shard), LocalOfLsn(lsn));
+  return ReadPrefixedRecordAt(ShardStableView(shard), LocalOfLsn(lsn),
+                              order_out);
 }
 
 Result<uint64_t> LogManager::OrderOfRecordAt(uint64_t lsn) const {
   if (!sharded()) return lsn;  // single log: position is the order
-  if (lsn == kInvalidLsn) return Status::Corruption("invalid lsn");
-  uint32_t shard = ShardOfLsn(lsn);
-  if (shard >= shard_count_) return Status::Corruption("lsn shard out of range");
   uint64_t order = 0;
-  PHX_ASSIGN_OR_RETURN(
-      LogRecord record,
-      ReadPrefixedRecordAt(ShardStableView(shard), LocalOfLsn(lsn), &order));
-  (void)record;
+  PHX_RETURN_IF_ERROR(ReadRecordAtLsn(lsn, &order).status());
   return order;
+}
+
+uint64_t LogManager::head_order() const {
+  return sharded() ? 0 : head_base();
+}
+
+LogCursor LogManager::Cursor(uint64_t from_order) const {
+  LogCursor cursor(from_order);
+  for (uint32_t s = 0; s < shard_count_; ++s) {
+    uint64_t start = shard_head_base(s);
+    if (!sharded()) start = std::max(start, from_order);  // order == lsn
+    cursor.AddShard(s, ShardStableView(s), start, sharded());
+  }
+  return cursor;
+}
+
+LogCursor LogManager::ShardCursor(uint32_t shard, uint64_t from_local,
+                                  bool include_buffered) const {
+  LogCursor cursor;
+  if (include_buffered) {
+    cursor.AddShard(shard, ShardFullLog(shard), shard_head_base(shard),
+                    from_local, sharded());
+  } else {
+    cursor.AddShard(shard, ShardStableView(shard), from_local, sharded());
+  }
+  return cursor;
+}
+
+LogCursor LogManager::Probe(uint64_t from_order) const {
+  LogCursor cursor = Cursor(from_order);
+  while (cursor.Next()) {
+  }
+  return cursor;
+}
+
+uint64_t LogManager::ShardOffsetOfOrder(uint32_t shard, uint64_t order) const {
+  LogCursor cursor = ShardCursor(shard, shard_head_base(shard));
+  while (auto parsed = cursor.Next()) {
+    if (parsed->order >= order) return LocalOfLsn(parsed->lsn);
+  }
+  return shard_stable_end(shard);
 }
 
 void LogManager::WriteWellKnownLsn(uint64_t lsn) {

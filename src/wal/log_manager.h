@@ -31,8 +31,14 @@ namespace phoenix {
 // bits), and every frame payload carries a global sequence number so
 // recovery can k-way merge the shards back into append order. Shard 0
 // keeps the plain log name (and the well-known file); shard k > 0 lives
-// in "<log_name>.s<k>". With shard_count == 1 every code path below is
-// the pre-sharding single-log path, byte for byte.
+// in "<log_name>.s<k>". With shard_count == 1 the write path is the
+// pre-sharding single-log path, byte for byte.
+//
+// Readers never see the difference: the frame format is decided here.
+// Every record comes back as (lsn, order, record), where `order` is the
+// record's place in append order — the gsn on a sharded log, the LSN
+// itself on a single log, which is simply a log of one shard
+// (MakeShardLsn(0, x) == x).
 class LogManager {
  public:
   // `log_name` is the durable name, e.g. "machineA/proc1.log"; the
@@ -146,11 +152,41 @@ class LogManager {
   void TruncateStableTail(uint64_t end_lsn);
 
   // Reads the single record whose frame starts at `lsn` on the stable log
-  // (composite in sharded mode, where the gsn prefix is stripped). The
-  // shard-aware replacement for ReadRecordAt(StableView(), lsn).
-  Result<LogRecord> ReadRecordAtLsn(uint64_t lsn) const;
-  // Global sequence number of the sharded record at composite `lsn`.
+  // (composite in sharded mode, where the gsn prefix is stripped), and its
+  // order into *order_out when given. The shard-aware replacement for
+  // ReadRecordAt(StableView(), lsn).
+  Result<LogRecord> ReadRecordAtLsn(uint64_t lsn,
+                                    uint64_t* order_out = nullptr) const;
+  // Order of the record at `lsn`: its gsn on a sharded log (read from the
+  // frame), `lsn` itself on a single log.
   Result<uint64_t> OrderOfRecordAt(uint64_t lsn) const;
+
+  // --- reading the stable log in append order ---
+
+  // Lower bound of every retained record's order, i.e. the order a full
+  // scan starts from: the head base on a single log, 0 on a sharded one.
+  uint64_t head_order() const;
+
+  // Salvage-mode cursor over every shard's stable image, returning the
+  // records with order >= `from_order` in append order. A single log seeks
+  // straight to `from_order` (an LSN there); shards are read from their
+  // heads and filtered.
+  LogCursor Cursor(uint64_t from_order) const;
+
+  // Cursor over one shard only, from shard-local offset `from_local`, in
+  // that shard's log order. With `include_buffered` it also reads the
+  // still-unforced tail (a context failure does not lose the buffer).
+  LogCursor ShardCursor(uint32_t shard, uint64_t from_local,
+                        bool include_buffered = false) const;
+
+  // The salvage probe: a Cursor(from_order) run to exhaustion, returned for
+  // its damage report (per-shard torn tails and skipped ranges, each range
+  // with the order of the first readable record above it).
+  LogCursor Probe(uint64_t from_order) const;
+
+  // Shard-local offset of the first record on `shard` whose order is
+  // >= `order`; the shard's stable end when there is none.
+  uint64_t ShardOffsetOfOrder(uint32_t shard, uint64_t order) const;
 
   // --- well-known file (§4.3): LSN of the last flushed begin-checkpoint ---
   // Force-writes `lsn`; charged as one disk write.

@@ -2,6 +2,7 @@
 
 #include "common/crc32c.h"
 #include "common/macros.h"
+#include "wal/shard_router.h"
 
 namespace phoenix {
 namespace {
@@ -38,7 +39,7 @@ bool LogReader::ValidFrameAt(uint64_t lsn, ParsedRecord* out) const {
   if (lsn + 8 + len > end) return false;
   const uint8_t* payload = &log_[rel + 8];
   if (Crc32c(payload, len) != crc) return false;
-  uint64_t order = 0;
+  uint64_t order = lsn;  // plain frames: log position is append order
   if (gsn_prefix_) {
     if (len < kGsnPrefixBytes) return false;
     order = LoadU64(payload);
@@ -88,7 +89,107 @@ std::optional<ParsedRecord> LogReader::Next() {
   }
 }
 
-Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn) {
+void LogCursor::AddShard(uint32_t shard, const LogView& view, uint64_t start,
+                         bool gsn_prefixed) {
+  Input input;
+  input.shard = shard;
+  input.reader = std::make_unique<LogReader>(view, start);
+  input.reader->EnableSalvage();
+  if (gsn_prefixed) input.reader->EnableGsnPrefix();
+  inputs_.push_back(std::move(input));
+}
+
+void LogCursor::AddShard(uint32_t shard, std::vector<uint8_t> image,
+                         uint64_t base, uint64_t start, bool gsn_prefixed) {
+  auto owned = std::make_unique<std::vector<uint8_t>>(std::move(image));
+  AddShard(shard, LogView{owned.get(), base}, start, gsn_prefixed);
+  inputs_.back().owned = std::move(owned);
+}
+
+std::optional<ParsedRecord> LogCursor::Pull(Input& input) {
+  std::optional<ParsedRecord> rec = input.reader->Next();
+  if (!rec.has_value()) return rec;
+  rec->lsn = MakeShardLsn(input.shard, rec->lsn);
+  while (input.resume_orders.size() <
+         input.reader->skipped_ranges().size()) {
+    input.resume_orders.push_back(rec->order);
+  }
+  if (input.any_read && rec->order <= input.last_order) ++inversions_;
+  input.any_read = true;
+  input.last_order = rec->order;
+  return rec;
+}
+
+std::optional<ParsedRecord> LogCursor::Next() {
+  if (inputs_.size() == 1) {  // nothing to merge: no read-ahead
+    while (std::optional<ParsedRecord> rec = Pull(inputs_[0])) {
+      if (rec->order >= from_order_) return rec;
+    }
+    return std::nullopt;
+  }
+  for (;;) {
+    Input* best = nullptr;
+    for (Input& input : inputs_) {
+      if (!input.primed) {
+        input.head = Pull(input);
+        input.primed = true;
+      }
+      if (input.head.has_value() &&
+          (best == nullptr || input.head->order < best->head->order)) {
+        best = &input;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    ParsedRecord rec = std::move(*best->head);
+    best->head = Pull(*best);
+    if (rec.order >= from_order_) return rec;
+  }
+}
+
+std::vector<ShardDamage> LogCursor::damage() const {
+  std::vector<ShardDamage> out;
+  for (const Input& input : inputs_) {
+    const LogReader& reader = *input.reader;
+    if (!reader.tail_torn() && reader.skipped_ranges().empty()) continue;
+    ShardDamage damage;
+    damage.shard = input.shard;
+    damage.tail_torn = reader.tail_torn();
+    damage.torn_offset = MakeShardLsn(input.shard, reader.torn_offset());
+    damage.image_end = MakeShardLsn(input.shard, reader.image_end());
+    for (const SkippedRange& range : reader.skipped_ranges()) {
+      damage.skipped.push_back(
+          SkippedRange{MakeShardLsn(input.shard, range.from_lsn),
+                       MakeShardLsn(input.shard, range.to_lsn)});
+    }
+    damage.resume_orders = input.resume_orders;
+    out.push_back(std::move(damage));
+  }
+  return out;
+}
+
+std::vector<SkippedRange> LogCursor::unreadable() const {
+  std::vector<SkippedRange> gaps;
+  for (const ShardDamage& shard : damage()) {
+    gaps.insert(gaps.end(), shard.skipped.begin(), shard.skipped.end());
+    if (shard.tail_torn) {
+      gaps.push_back(SkippedRange{shard.torn_offset, shard.image_end});
+    }
+  }
+  return gaps;
+}
+
+uint64_t LogCursor::records_read() const {
+  uint64_t total = 0;
+  for (const Input& input : inputs_) total += input.reader->records_read();
+  return total;
+}
+
+namespace {
+
+// Validates the frame at `lsn` (bounds, length, CRC) and decodes it; with
+// `gsn_prefixed`, strips the gsn prefix into *order_out.
+Result<LogRecord> ReadFrameAt(const LogView& view, uint64_t lsn,
+                              bool gsn_prefixed, uint64_t* order_out) {
   const std::vector<uint8_t>& log = *view.bytes;
   if (lsn < view.base) {
     return Status::Corruption("lsn before truncated log head");
@@ -104,7 +205,18 @@ Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn) {
   if (Crc32c(payload, len) != crc) {
     return Status::Corruption("record crc mismatch");
   }
-  return DecodeLogRecord(payload, len);
+  if (!gsn_prefixed) return DecodeLogRecord(payload, len);
+  if (len < kGsnPrefixBytes) {
+    return Status::Corruption("sharded frame too short for gsn prefix");
+  }
+  if (order_out != nullptr) *order_out = LoadU64(payload);
+  return DecodeLogRecord(payload + kGsnPrefixBytes, len - kGsnPrefixBytes);
+}
+
+}  // namespace
+
+Result<LogRecord> ReadRecordAt(const LogView& view, uint64_t lsn) {
+  return ReadFrameAt(view, lsn, /*gsn_prefixed=*/false, nullptr);
 }
 
 Result<LogRecord> ReadRecordAt(const std::vector<uint8_t>& log, uint64_t lsn) {
@@ -113,26 +225,7 @@ Result<LogRecord> ReadRecordAt(const std::vector<uint8_t>& log, uint64_t lsn) {
 
 Result<LogRecord> ReadPrefixedRecordAt(const LogView& view, uint64_t lsn,
                                        uint64_t* order_out) {
-  const std::vector<uint8_t>& log = *view.bytes;
-  if (lsn < view.base) {
-    return Status::Corruption("lsn before truncated log head");
-  }
-  uint64_t rel = lsn - view.base;
-  if (rel + 8 > log.size()) return Status::Corruption("lsn out of range");
-  uint32_t len = LoadU32(&log[rel]);
-  uint32_t crc = LoadU32(&log[rel + 4]);
-  if (rel + 8 + len > log.size()) {
-    return Status::Corruption("record extends past end of log");
-  }
-  const uint8_t* payload = &log[rel + 8];
-  if (Crc32c(payload, len) != crc) {
-    return Status::Corruption("record crc mismatch");
-  }
-  if (len < kGsnPrefixBytes) {
-    return Status::Corruption("sharded frame too short for gsn prefix");
-  }
-  if (order_out != nullptr) *order_out = LoadU64(payload);
-  return DecodeLogRecord(payload + kGsnPrefixBytes, len - kGsnPrefixBytes);
+  return ReadFrameAt(view, lsn, /*gsn_prefixed=*/true, order_out);
 }
 
 }  // namespace phoenix

@@ -1,63 +1,19 @@
 #include "wal/merged_log_reader.h"
 
-#include <algorithm>
-
 #include "wal/shard_router.h"
 
 namespace phoenix {
 
 MergedLogScan ScanShardedLog(const LogManager& log) {
   MergedLogScan scan;
-  std::vector<std::vector<OrderedRecord>> per_shard(log.shard_count());
-  for (uint32_t s = 0; s < log.shard_count(); ++s) {
-    LogReader reader(log.ShardStableView(s), log.shard_head_base(s));
-    reader.EnableSalvage();
-    reader.EnableGsnPrefix();
-    uint64_t prev_order = 0;
-    while (auto parsed = reader.Next()) {
-      if (!per_shard[s].empty() && parsed->order <= prev_order) {
-        ++scan.inversions;
-      }
-      prev_order = parsed->order;
-      per_shard[s].push_back(OrderedRecord{MakeShardLsn(s, parsed->lsn),
-                                           parsed->order, s,
-                                           std::move(parsed->record)});
-    }
-    if (reader.tail_torn() || !reader.skipped_ranges().empty()) {
-      ShardDamage damage;
-      damage.shard = s;
-      damage.tail_torn = reader.tail_torn();
-      damage.torn_offset = MakeShardLsn(s, reader.torn_offset());
-      for (const SkippedRange& range : reader.skipped_ranges()) {
-        damage.skipped.push_back(SkippedRange{MakeShardLsn(s, range.from_lsn),
-                                              MakeShardLsn(s, range.to_lsn)});
-      }
-      scan.damage.push_back(std::move(damage));
-    }
+  LogCursor cursor = log.Cursor(log.head_order());
+  while (auto parsed = cursor.Next()) {
+    scan.records.push_back(OrderedRecord{parsed->lsn, parsed->order,
+                                         ShardOfLsn(parsed->lsn),
+                                         std::move(parsed->record)});
   }
-
-  // K-way merge by gsn. Per-shard streams are already ascending (modulo
-  // the inversions counted above), so repeatedly taking the smallest head
-  // is a true merge; ties (impossible for healthy logs — gsns are unique)
-  // break toward the lower shard id for determinism.
-  size_t total = 0;
-  for (const auto& shard_records : per_shard) total += shard_records.size();
-  scan.records.reserve(total);
-  std::vector<size_t> next(per_shard.size(), 0);
-  for (size_t emitted = 0; emitted < total; ++emitted) {
-    uint32_t best = 0;
-    bool have_best = false;
-    for (uint32_t s = 0; s < per_shard.size(); ++s) {
-      if (next[s] >= per_shard[s].size()) continue;
-      if (!have_best ||
-          per_shard[s][next[s]].order < per_shard[best][next[best]].order) {
-        best = s;
-        have_best = true;
-      }
-    }
-    scan.records.push_back(std::move(per_shard[best][next[best]]));
-    ++next[best];
-  }
+  scan.damage = cursor.damage();
+  scan.inversions = cursor.inversions();
   return scan;
 }
 

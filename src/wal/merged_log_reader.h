@@ -10,31 +10,19 @@
 
 namespace phoenix {
 
-// A record from one shard of a sharded WAL, positioned both physically
-// (composite lsn) and in append order (gsn).
+// A record from one shard of a WAL, positioned both physically (composite
+// lsn) and in append order.
 struct OrderedRecord {
   uint64_t lsn = 0;    // composite: shard id << 48 | shard-local offset
-  uint64_t order = 0;  // global sequence number
+  uint64_t order = 0;  // gsn on a sharded log, the lsn on a single log
   uint32_t shard = 0;
   LogRecord record;
 };
 
-// Salvage report for one shard of a merged scan. Offsets are composite, so
-// a skipped range on shard j can never intersect a record extent on shard
-// k != j — the invariant the replay planner's per-chain demotion rule
-// relies on.
-struct ShardDamage {
-  uint32_t shard = 0;
-  bool tail_torn = false;
-  uint64_t torn_offset = 0;  // composite lsn of the first unreadable byte
-  std::vector<SkippedRange> skipped;  // composite coordinates
-};
-
-// Result of scanning every shard's stable log and k-way merging the
-// records by global sequence number. `inversions` counts adjacent pairs
-// within one shard whose gsns were NOT ascending (a healthy log always
-// yields 0; a nonzero count means frames were re-stamped or the storage
-// reordered writes) — exported as phoenix.recovery.merge.inversions.
+// A whole log materialized in append order, with the cursor's salvage
+// report. `inversions` counts adjacent pairs within one shard whose orders
+// were NOT ascending (a healthy log always yields 0; a nonzero count means
+// frames were re-stamped or the storage reordered writes).
 struct MergedLogScan {
   std::vector<OrderedRecord> records;  // ascending by order
   std::vector<ShardDamage> damage;     // only shards with salvage issues
@@ -43,9 +31,9 @@ struct MergedLogScan {
   bool any_salvage() const { return !damage.empty(); }
 };
 
-// Scans all shards of `log` (stable images only — this is the
-// process-crash recovery view) from each shard's head base, tolerating
-// torn tails and mid-log corruption per shard, and merges by gsn.
+// Materializes log.Cursor() over the whole retained stable log — every
+// shard from its head, or the single log from its head. For tools and
+// tests; recovery streams the cursor instead.
 MergedLogScan ScanShardedLog(const LogManager& log);
 
 }  // namespace phoenix

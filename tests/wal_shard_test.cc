@@ -1,12 +1,15 @@
 // Sharded WAL (RuntimeOptions.wal_shards > 1): the deterministic
 // context->shard router, per-shard durability horizons, crash semantics of
-// independent shard buffers, the gsn-ordered recovery merge, and per-shard
-// torn-tail salvage.
+// independent shard buffers, the record cursor (a plain reader on one
+// shard, the gsn-ordered merge on N), per-shard salvage, and recovery under
+// storage faults matching the single-log twin.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "recovery/checkpoint_manager.h"
@@ -202,6 +205,117 @@ TEST_F(WalShardTest, TornTailOnOneShardLeavesOthersUntouched) {
   EXPECT_EQ(total, 15);  // 16 appended, one frame torn
 }
 
+// Encoded bytes of a record, for exact record-equality checks.
+std::vector<uint8_t> Encoded(const LogRecord& record) {
+  Encoder enc;
+  EncodeLogRecord(record, enc);
+  return enc.buffer();
+}
+
+TEST_F(WalShardTest, OneShardCursorIsAPlainLogReader) {
+  // A single log is a one-shard stream: the cursor yields exactly the plain
+  // reader's records, with order == lsn — and so does ScanShardedLog.
+  LogManager single("m/p2.log", &storage_, &disk_, &clock_, &costs_);
+  for (int i = 0; i < 24; ++i) {
+    single.Append(LogRecord(Incoming(static_cast<uint64_t>(i % 5),
+                                     std::string("m") + std::to_string(i))));
+  }
+  single.Force();
+
+  std::vector<ParsedRecord> plain;
+  LogReader reader(single.StableView(), single.head_base());
+  while (auto parsed = reader.Next()) plain.push_back(std::move(*parsed));
+  ASSERT_EQ(plain.size(), 24u);
+
+  EXPECT_EQ(single.head_order(), single.head_base());
+  LogCursor cursor = single.Cursor(single.head_order());
+  for (const ParsedRecord& want : plain) {
+    std::optional<ParsedRecord> got = cursor.Next();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->lsn, want.lsn);
+    EXPECT_EQ(got->order, got->lsn);
+    EXPECT_EQ(Encoded(got->record), Encoded(want.record));
+  }
+  EXPECT_FALSE(cursor.Next().has_value());
+  EXPECT_TRUE(cursor.damage().empty());
+
+  MergedLogScan scan = ScanShardedLog(single);
+  ASSERT_EQ(scan.records.size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(scan.records[i].lsn, plain[i].lsn);
+    EXPECT_EQ(scan.records[i].order, plain[i].lsn);
+    EXPECT_EQ(scan.records[i].shard, 0u);
+    EXPECT_EQ(Encoded(scan.records[i].record), Encoded(plain[i].record));
+  }
+
+  // A cut seeks: records below it are never returned.
+  LogCursor from_mid = single.Cursor(plain[10].lsn);
+  std::optional<ParsedRecord> first = from_mid.Next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->lsn, plain[10].lsn);
+}
+
+TEST_F(WalShardTest, ShardedCursorYieldsTheMergedScan) {
+  for (int i = 0; i < 40; ++i) {
+    manager_.Append(LogRecord(Incoming(static_cast<uint64_t>(i % 9),
+                                       std::string("m") + std::to_string(i))));
+  }
+  manager_.Force();
+
+  MergedLogScan merged = ScanShardedLog(manager_);
+  ASSERT_EQ(merged.records.size(), 40u);
+  EXPECT_EQ(manager_.head_order(), 0u);
+  LogCursor cursor = manager_.Cursor(manager_.head_order());
+  for (const OrderedRecord& want : merged.records) {
+    std::optional<ParsedRecord> got = cursor.Next();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->lsn, want.lsn);
+    EXPECT_EQ(got->order, want.order);
+    EXPECT_EQ(Encoded(got->record), Encoded(want.record));
+  }
+  EXPECT_FALSE(cursor.Next().has_value());
+  EXPECT_EQ(cursor.records_read(), 40u);
+  EXPECT_EQ(cursor.inversions(), 0u);
+
+  // A cut filters by order on every shard.
+  uint64_t cut = merged.records[25].order;
+  LogCursor from_cut = manager_.Cursor(cut);
+  size_t returned = 0;
+  while (auto got = from_cut.Next()) {
+    EXPECT_GE(got->order, cut);
+    ++returned;
+  }
+  EXPECT_EQ(returned, 15u);
+  EXPECT_EQ(from_cut.records_read(), 40u);
+}
+
+TEST_F(WalShardTest, ProbeReportsTheOrderAboveEachSkippedRange) {
+  std::vector<uint64_t> lsns = AppendAcrossShards(24, "x");
+  manager_.Force();
+  // Rot the payload of one mid-shard frame on a non-meta shard.
+  size_t victim = 0;
+  while (ShardOfLsn(lsns[victim]) == 0) ++victim;
+  uint32_t shard = ShardOfLsn(lsns[victim]);
+  storage_.CorruptLog(manager_.shard_log_name(shard),
+                      LocalOfLsn(lsns[victim]) + 8, 2);
+
+  LogCursor probe = manager_.Probe(0);
+  std::vector<ShardDamage> damage = probe.damage();
+  ASSERT_EQ(damage.size(), 1u);
+  EXPECT_EQ(damage[0].shard, shard);
+  ASSERT_EQ(damage[0].skipped.size(), 1u);
+  EXPECT_EQ(damage[0].skipped[0].from_lsn, lsns[victim]);
+  // The resync lands on the shard's next record, whose gsn is the order
+  // reported for the range.
+  size_t next = victim + 1;
+  while (ShardOfLsn(lsns[next]) != shard) ++next;
+  EXPECT_EQ(damage[0].skipped[0].to_lsn, lsns[next]);
+  Result<uint64_t> next_order = manager_.OrderOfRecordAt(lsns[next]);
+  ASSERT_TRUE(next_order.ok());
+  ASSERT_EQ(damage[0].resume_orders.size(), 1u);
+  EXPECT_EQ(damage[0].resume_orders[0], *next_order);
+}
+
 class ShardedRecoveryTest : public ::testing::Test {
  protected:
   void SetUpSim(uint32_t shards) {
@@ -245,10 +359,57 @@ TEST_F(ShardedRecoveryTest, StateSurvivesCrashViaMergedReplay) {
   }
 }
 
+// Storage faults applied between the crash and the restart.
+enum class TwinFault {
+  kNone,
+  kTornTail,            // a partial frame after the newest record's shard end
+  kWellKnownBitRot,     // the checkpoint pointer rots
+  kNewestStateBitRot,   // the newest context-state record rots
+  kDamageAboveCut,      // a checkpoint table record rots
+  kDamageBelowCut,      // an early call record rots, wholly below the cut
+};
+
+const char* TwinFaultName(TwinFault fault) {
+  switch (fault) {
+    case TwinFault::kNone:
+      return "none";
+    case TwinFault::kTornTail:
+      return "torn_tail";
+    case TwinFault::kWellKnownBitRot:
+      return "wkf_bitrot";
+    case TwinFault::kNewestStateBitRot:
+      return "newest_state_bitrot";
+    case TwinFault::kDamageAboveCut:
+      return "damage_above_cut";
+    case TwinFault::kDamageBelowCut:
+      return "damage_below_cut";
+  }
+  return "unknown";
+}
+
+// Newest stable record (append order) satisfying `match`; kInvalidLsn if
+// none.
+template <typename Match>
+uint64_t NewestRecord(const LogManager& log, Match match) {
+  uint64_t found = kInvalidLsn;
+  LogCursor cursor = log.Cursor(log.head_order());
+  while (auto parsed = cursor.Next()) {
+    if (match(*parsed)) found = parsed->lsn;
+  }
+  return found;
+}
+
 TEST_F(ShardedRecoveryTest, ShardedRecoveryMatchesSingleLogTwin) {
-  // Same workload, same crash, under 1 and 4 shards: the recovered states
-  // must agree.
-  auto run = [](uint32_t shards) -> std::vector<int64_t> {
+  // Same workload, same crash, same storage fault, under 1 and 4 shards:
+  // every recovery must reproduce the fault-free state.
+  struct Outcome {
+    std::vector<int64_t> values;
+    uint64_t full_scan_fallbacks = 0;
+    uint64_t torn_tail_bytes = 0;
+    uint64_t wkf_fallbacks = 0;
+    uint64_t state_record_fallbacks = 0;
+  };
+  auto run = [](uint32_t shards, TwinFault fault) -> Outcome {
     RuntimeOptions opts;
     opts.wal_shards = shards;
     Simulation sim(opts);
@@ -268,18 +429,121 @@ TEST_F(ShardedRecoveryTest, ShardedRecoveryMatchesSingleLogTwin) {
       for (const std::string& uri : uris) {
         EXPECT_TRUE(client.Call(uri, "Add", MakeArgs(i)).ok());
       }
+      if (i == 2) {
+        // Mid-run state records and a process checkpoint, published by the
+        // next round's first forced send.
+        for (int c = 0; c < 3; ++c) {
+          Context* ctx = proc.FindContextOfComponent("c" + std::to_string(c));
+          EXPECT_TRUE(proc.checkpoints().SaveContextState(*ctx).ok());
+        }
+        EXPECT_TRUE(proc.checkpoints().TakeProcessCheckpoint().ok());
+      }
     }
+    const LogManager& log = proc.log();
+    Result<uint64_t> well_known = log.ReadWellKnownLsn();
+    EXPECT_TRUE(well_known.ok());
+    Result<uint64_t> cut = log.OrderOfRecordAt(*well_known);
+    EXPECT_TRUE(cut.ok());
+
     proc.Kill();
+    StableStorage& storage = sim.storage();
+    auto rot = [&](uint64_t lsn) {
+      EXPECT_NE(lsn, kInvalidLsn);
+      storage.CorruptLog(log.shard_log_name(ShardOfLsn(lsn)),
+                         LocalOfLsn(lsn) + 8, 2);
+    };
+    switch (fault) {
+      case TwinFault::kNone:
+        break;
+      case TwinFault::kTornTail: {
+        uint64_t newest =
+            NewestRecord(log, [](const ParsedRecord&) { return true; });
+        // A header promising 64 payload bytes, followed by only 2.
+        storage.AppendLog(log.shard_log_name(ShardOfLsn(newest)),
+                          {64, 0, 0, 0, 1, 2, 3, 4, 9, 9});
+        break;
+      }
+      case TwinFault::kWellKnownBitRot:
+        storage.CorruptFile(log.log_name() + ".wkf", 0, 2);
+        break;
+      case TwinFault::kNewestStateBitRot:
+        rot(NewestRecord(log, [](const ParsedRecord& r) {
+          return std::holds_alternative<ContextStateRecord>(r.record);
+        }));
+        break;
+      case TwinFault::kDamageAboveCut:
+        rot(NewestRecord(log, [](const ParsedRecord& r) {
+          return std::holds_alternative<CheckpointContextEntryRecord>(
+              r.record);
+        }));
+        break;
+      case TwinFault::kDamageBelowCut: {
+        // The oldest Add call on a non-meta shard (any shard when there is
+        // only one); later rounds keep records above it on that shard that
+        // are still below the checkpoint cut.
+        uint64_t victim = kInvalidLsn;
+        LogCursor cursor = log.Cursor(log.head_order());
+        while (auto parsed = cursor.Next()) {
+          const auto* call = std::get_if<IncomingCallRecord>(&parsed->record);
+          if (call != nullptr && call->method == "Add" &&
+              (shards == 1 || ShardOfLsn(parsed->lsn) != 0)) {
+            EXPECT_LT(parsed->order, *cut);
+            victim = parsed->lsn;
+            break;
+          }
+        }
+        rot(victim);
+        break;
+      }
+    }
+
     EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(1).ok());
-    std::vector<int64_t> values;
+    Outcome outcome;
     for (const std::string& uri : uris) {
       auto got = client.Call(uri, "Get", {});
       EXPECT_TRUE(got.ok());
-      values.push_back(got.ok() ? got->AsInt() : -1);
+      outcome.values.push_back(got.ok() ? got->AsInt() : -1);
     }
-    return values;
+    const obs::MetricsRegistry& metrics = sim.metrics();
+    outcome.full_scan_fallbacks =
+        metrics.CounterTotal("phoenix.recovery.salvage.full_scan_fallback");
+    outcome.torn_tail_bytes =
+        metrics.CounterTotal("phoenix.recovery.salvage.torn_tail_bytes");
+    outcome.wkf_fallbacks =
+        metrics.CounterTotal("phoenix.recovery.salvage.wkf_fallback");
+    outcome.state_record_fallbacks = metrics.CounterTotal(
+        "phoenix.recovery.salvage.state_record_fallback");
+    return outcome;
   };
-  EXPECT_EQ(run(1), run(4));
+
+  const std::vector<int64_t> fault_free = run(1, TwinFault::kNone).values;
+  EXPECT_EQ(fault_free, std::vector<int64_t>({10, 10, 10}));
+  for (TwinFault fault :
+       {TwinFault::kNone, TwinFault::kTornTail, TwinFault::kWellKnownBitRot,
+        TwinFault::kNewestStateBitRot, TwinFault::kDamageAboveCut,
+        TwinFault::kDamageBelowCut}) {
+    for (uint32_t shards : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << TwinFaultName(fault) << ", "
+                                      << shards << " shard(s)");
+      Outcome outcome = run(shards, fault);
+      EXPECT_EQ(outcome.values, fault_free);
+      // Each fault took its salvage path.
+      EXPECT_EQ(outcome.torn_tail_bytes > 0, fault == TwinFault::kTornTail);
+      EXPECT_EQ(outcome.wkf_fallbacks > 0,
+                fault == TwinFault::kWellKnownBitRot);
+      EXPECT_EQ(outcome.state_record_fallbacks > 0,
+                fault == TwinFault::kNewestStateBitRot);
+      if (fault == TwinFault::kDamageAboveCut) {
+        EXPECT_EQ(outcome.full_scan_fallbacks, 1u);
+      }
+      if (fault == TwinFault::kDamageBelowCut ||
+          fault == TwinFault::kNone) {
+        // Damage wholly below the checkpoint cannot hide its table records:
+        // the scan must not widen, on any shard.
+        EXPECT_EQ(outcome.full_scan_fallbacks, 0u);
+      }
+    }
+  }
 }
 
 TEST_F(ShardedRecoveryTest, PublishGateReadsMetaShardHorizonOnly) {

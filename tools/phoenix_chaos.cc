@@ -41,22 +41,25 @@
 // optional crash-time torn tails, hash-diffed against a fault-free async
 // twin of the same workload.
 //
+// --async-checkpoint and --crash-during-recovery take precedence over the
+// sharded campaign and honour --wal-shards themselves: both the faulted run
+// and its twin use an N-shard WAL, and the report records wal_shards.
+//
 // Usage:
 //   phoenix_chaos [--runs=N] [--seed=S] [--sessions=N] [--overlap=N]
 //                 [--wal-shards=N] [--async-checkpoint]
-//                 [--out=FILE] [--verbose]
+//                 [--crash-during-recovery] [--out=FILE] [--verbose]
 
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "bookstore/setup.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "obs/bench_reporter.h"
-#include "wal/log_reader.h"
+#include "recovery/recovery_service.h"
 
 namespace phoenix::tools {
 namespace {
@@ -283,50 +286,7 @@ Status ApplyStorageAttack(bool bitrot_state, bool bitrot_wkf, bool tear_shard,
                           Process& target_proc) {
   target_proc.Kill();
   const std::string log_name = target_proc.log_name();
-  if (bitrot_state) {
-    const LogManager& log = target_proc.log();
-    if (log.sharded()) {
-      // Find the gsn-newest readable state record across all shard files.
-      uint32_t state_shard = 0;
-      uint64_t state_local = kInvalidLsn;
-      uint64_t best_order = 0;
-      bool found = false;
-      for (uint32_t s = 0; s < log.shard_count(); ++s) {
-        LogView view = log.ShardStableView(s);
-        LogReader reader(view, log.shard_head_base(s));
-        reader.EnableSalvage();
-        reader.EnableGsnPrefix();
-        while (auto parsed = reader.Next()) {
-          if (std::holds_alternative<ContextStateRecord>(parsed->record) &&
-              (!found || parsed->order > best_order)) {
-            found = true;
-            best_order = parsed->order;
-            state_shard = s;
-            state_local = parsed->lsn;
-          }
-        }
-      }
-      if (found) {
-        sim.storage().CorruptLog(log.shard_log_name(state_shard),
-                                 state_local + 8, /*flip_count=*/2);
-      }
-    } else {
-      // Find the newest readable context-state record in the stable image.
-      LogView view = log.StableView();
-      LogReader reader(view, log.head_base());
-      reader.EnableSalvage();
-      uint64_t state_lsn = kInvalidLsn;
-      while (auto parsed = reader.Next()) {
-        if (std::holds_alternative<ContextStateRecord>(parsed->record)) {
-          state_lsn = parsed->lsn;
-        }
-      }
-      if (state_lsn != kInvalidLsn) {
-        // +8 lands inside the payload, past the length/CRC header.
-        sim.storage().CorruptLog(log_name, state_lsn + 8, /*flip_count=*/2);
-      }
-    }
-  }
+  if (bitrot_state) CorruptNewestStateRecord(target_proc.log(), sim.storage());
   if (bitrot_wkf) {
     sim.storage().CorruptFile(log_name + ".wkf", 0, /*flip_count=*/2);
   }
@@ -666,6 +626,7 @@ struct RecoveryCrashConfig {
   bool attack_wkf = false;    // corrupt the well-known file before attempt 2
   bool attack_state = false;  // corrupt the newest state record, attempt 2
   bool attack_tear = false;   // tear the stable tail before attempt 3
+  uint32_t wal_shards = 1;    // --wal-shards; not drawn from the run seed
 };
 
 RecoveryCrashConfig MakeRecoveryCrashConfig(const CampaignOptions& campaign,
@@ -709,6 +670,7 @@ RecoveryCrashConfig MakeRecoveryCrashConfig(const CampaignOptions& campaign,
   cfg.attack_wkf = rng.Bernoulli(0.3);
   cfg.attack_state = rng.Bernoulli(0.3);
   cfg.attack_tear = rng.Bernoulli(0.2);
+  cfg.wal_shards = campaign.wal_shards;
   return cfg;
 }
 
@@ -745,6 +707,7 @@ std::string RunRecoveryCrashOne(const RecoveryCrashConfig& cfg, int run,
   runtime.call_retry_budget_ms = 0.0;
   runtime.parallel_replay = cfg.parallel_replay;
   runtime.inject_failures_during_recovery = inject;
+  runtime.wal_shards = cfg.wal_shards;
 
   SimulationParams params;
   params.seed = cfg.sim_seed;
@@ -975,6 +938,10 @@ int RunRecoveryCrashCampaign(const CampaignOptions& campaign) {
 
   obs::BenchReporter reporter("chaos_recovery_crash", kChaosSchema);
   obs::BenchVariant& campaign_v = reporter.AddVariant("campaign");
+  if (campaign.wal_shards > 1) {
+    campaign_v.SetMetric("wal_shards",
+                         static_cast<uint64_t>(campaign.wal_shards));
+  }
   campaign_v.SetMetric("runs", stats.runs)
       .SetMetric("seed", campaign.seed)
       .SetMetric("sessions_per_run", static_cast<uint64_t>(campaign.sessions))
@@ -1075,6 +1042,7 @@ struct AsyncCheckpointConfig {
   bool parallel_replay = false;
   double torn_p = 0.0;  // crash-time torn tails
   std::vector<std::pair<FailurePoint, uint64_t>> crashes;
+  uint32_t wal_shards = 1;  // --wal-shards; not drawn from the run seed
 };
 
 AsyncCheckpointConfig MakeAsyncCheckpointConfig(
@@ -1126,6 +1094,7 @@ AsyncCheckpointConfig MakeAsyncCheckpointConfig(
     cfg.crashes.emplace_back(point, cumulative[static_cast<int>(point)]);
   }
   if (rng.Bernoulli(0.5)) cfg.torn_p = 0.1 + rng.NextDouble() * 0.5;
+  cfg.wal_shards = campaign.wal_shards;
   return cfg;
 }
 
@@ -1166,6 +1135,7 @@ std::string RunAsyncCheckpointOne(const AsyncCheckpointConfig& cfg, int run,
   runtime.group_commit = true;
   runtime.call_retry_budget_ms = 0.0;
   runtime.parallel_replay = cfg.parallel_replay;
+  runtime.wal_shards = cfg.wal_shards;
 
   SimulationParams params;
   params.seed = cfg.sim_seed;
@@ -1405,6 +1375,10 @@ int RunAsyncCheckpointCampaign(const CampaignOptions& campaign) {
 
   obs::BenchReporter reporter("chaos_async_checkpoint", kChaosSchema);
   obs::BenchVariant& campaign_v = reporter.AddVariant("campaign");
+  if (campaign.wal_shards > 1) {
+    campaign_v.SetMetric("wal_shards",
+                         static_cast<uint64_t>(campaign.wal_shards));
+  }
   campaign_v.SetMetric("runs", stats.runs)
       .SetMetric("seed", campaign.seed)
       .SetMetric("sessions_per_run", static_cast<uint64_t>(campaign.sessions))
@@ -2039,14 +2013,17 @@ int Main(int argc, char** argv) {
                  "--runs, --sessions and --overlap must be positive\n");
     return 2;
   }
-  if (campaign.wal_shards > 1) {
-    return RunShardCampaign(campaign);
-  }
+  // The mode flags come first: they run their own campaigns on a
+  // --wal-shards log. Without one, --wal-shards > 1 selects the sharded
+  // campaign against a single-log twin.
   if (campaign.async_checkpoint) {
     return RunAsyncCheckpointCampaign(campaign);
   }
   if (campaign.crash_during_recovery) {
     return RunRecoveryCrashCampaign(campaign);
+  }
+  if (campaign.wal_shards > 1) {
+    return RunShardCampaign(campaign);
   }
   return RunCampaign(campaign);
 }

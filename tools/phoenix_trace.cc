@@ -40,7 +40,6 @@
 #include "recovery/checkpoint_manager.h"
 #include "recovery/replay_plan.h"
 #include "wal/log_dump.h"
-#include "wal/merged_log_reader.h"
 #include "wal/shard_router.h"
 
 namespace phoenix::tools {
@@ -296,51 +295,21 @@ int Run(const Options& opts) {
 
   if (opts.dump_log) {
     LogAnnotations annotations;
-    const bool sharded = proc.log().sharded();
     if (opts.plan) {
       // Build the same plan the parallel replayer would build for a crash
       // right now, and pin its chain/edge view to the records that open
-      // replay units. Sharded logs plan over the gsn-merged record stream,
-      // so the annotations key on composite LSNs and land on the matching
-      // per-shard lines.
+      // replay units. Annotations key on composite LSNs, so on a sharded
+      // log they land on the matching per-shard lines.
       ReplayPlanInputs inputs;
       inputs.machine = proc.machine_name();
       inputs.process_id = proc.pid();
-      ReplayPlan plan;
-      if (sharded) {
-        MergedLogScan merged = ScanShardedLog(proc.log());
-        DeriveReplayOriginsFromRecords(merged.records, &inputs.origins,
-                                       &inputs.origin_orders);
-        uint64_t scan_start = kInvalidLsn;
-        for (const auto& [context_id, order] : inputs.origin_orders) {
-          if (order != kInvalidLsn) scan_start = std::min(scan_start, order);
-        }
-        if (scan_start == kInvalidLsn) scan_start = 0;
-        std::vector<SkippedRange> gaps;
-        for (const ShardDamage& damage : merged.damage) {
-          for (const SkippedRange& range : damage.skipped) {
-            gaps.push_back(range);
-          }
-          if (damage.tail_torn) {
-            gaps.push_back(SkippedRange{
-                damage.torn_offset,
-                MakeShardLsn(damage.shard,
-                             proc.log().shard_stable_end(damage.shard))});
-          }
-        }
-        plan =
-            BuildReplayPlanFromRecords(merged.records, gaps, scan_start,
-                                       inputs);
-      } else {
-        LogView view = proc.log().StableView();
-        inputs.origins = DeriveReplayOrigins(view, proc.log().head_base());
-        uint64_t scan_start = kInvalidLsn;
-        for (const auto& [context_id, origin] : inputs.origins) {
-          if (origin != kInvalidLsn) scan_start = std::min(scan_start, origin);
-        }
-        if (scan_start == kInvalidLsn) scan_start = proc.log().head_base();
-        plan = BuildReplayPlan(view, scan_start, inputs);
+      DeriveReplayOrigins(proc.log(), &inputs.origins, &inputs.origin_orders);
+      uint64_t scan_start = kInvalidLsn;
+      for (const auto& [context_id, order] : inputs.origin_orders) {
+        if (order != kInvalidLsn) scan_start = std::min(scan_start, order);
       }
+      if (scan_start == kInvalidLsn) scan_start = proc.log().head_order();
+      ReplayPlan plan = BuildReplayPlan(proc.log(), scan_start, inputs);
       for (uint32_t c = 0; c < plan.chains.size(); ++c) {
         const ReplayChain& chain = plan.chains[c];
         for (uint32_t u = 0; u < chain.units.size(); ++u) {
@@ -366,7 +335,7 @@ int Run(const Options& opts) {
           plan.critical_path_ms, plan.total_replay_ms,
           fallback_note.c_str());
     }
-    if (sharded) {
+    if (proc.log().sharded()) {
       std::vector<ShardDumpInput> shards;
       for (uint32_t s = 0; s < proc.log().shard_count(); ++s) {
         ShardDumpInput input;
