@@ -116,6 +116,7 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
 
   // Begin/end records bracket the table dump so readers can tell a complete
   // checkpoint from one cut short by a crash (§4.3).
+  uint64_t appended_at_begin = LogAppendedBytes();
   uint64_t begin_lsn = proc.log().Append(BeginCheckpointRecord{});
 
   if (proc.MaybeCrash(FailurePoint::kDuringCheckpoint)) {
@@ -166,10 +167,16 @@ Result<uint64_t> CheckpointManager::TakeProcessCheckpoint() {
   pending_end_horizon_ = proc.log().shard_next_lsn(0);
   pending_end_append_ms_ = sim->clock().NowMs();
   pending_ref_lsns_ = std::move(refs);
+  appended_at_bracket_end_ = LogAppendedBytes();
+  last_bracket_bytes_ = appended_at_bracket_end_ - appended_at_begin;
   ++checkpoints_taken_;
   sim->metrics()
       .GetCounter("phoenix.checkpoint.taken", obs::LabelSet{{"process", label}})
       .Increment();
+  sim->metrics()
+      .GetHistogram("phoenix.checkpoint.bracket_bytes",
+                    obs::LabelSet{{"process", label}})
+      .Record(static_cast<double>(last_bracket_bytes_));
   span.AddArg(obs::Arg("begin_lsn", begin_lsn));
   span.AddArg(obs::Arg("end_lsn", end_lsn));
   // The buffer may already have spilled (capacity force); publish if so.
@@ -305,6 +312,15 @@ bool CheckpointManager::HasDeferredIdleContext() const {
   return false;
 }
 
+uint64_t CheckpointManager::LogAppendedBytes() const {
+  const LogManager& log = process_->log();
+  uint64_t total = 0;
+  for (uint32_t s = 0; s < log.shard_count(); ++s) {
+    total += log.shard_next_lsn(s);
+  }
+  return total;
+}
+
 bool CheckpointManager::AsyncSweepDue(uint32_t interval) const {
   Process& proc = *process_;
   if (!proc.alive() || proc.recovering()) return false;
@@ -360,6 +376,29 @@ Status CheckpointManager::RunAsyncSweep() {
   span.AddArg(obs::Arg("contexts_saved", saved));
   span.AddArg(
       obs::Arg("contexts_deferred", static_cast<uint64_t>(deferred_contexts_.size())));
+
+  // A bracket re-logs the whole context and last-call tables, so it is
+  // amortized against log growth: only once the log has grown by the last
+  // bracket's size since that bracket's end. Skipping one loses nothing —
+  // pass 1 scans from the published bracket and rebuilds every row written
+  // after it from the state, creation and reply records it reads anyway.
+  // This bounds bracket bytes to about half the log, and pass 1's scan past
+  // the published bracket to about one bracket plus one sweep.
+  uint64_t since_bracket = LogAppendedBytes() - appended_at_bracket_end_;
+  bool due = since_bracket >= last_bracket_bytes_;
+  span.AddArg(obs::Arg("bracket", due ? "taken" : "deferred"));
+  span.AddArg(obs::Arg("log_since_bracket_bytes", since_bracket));
+  span.AddArg(obs::Arg("bracket_bytes", last_bracket_bytes_));
+  if (!due) {
+    // The state records just saved stay unforced; a later send-time force
+    // makes them stable, as for inline saves (§4.3).
+    ++brackets_deferred_;
+    sim->metrics()
+        .GetCounter("phoenix.checkpoint.async.brackets_deferred",
+                    obs::LabelSet{{"process", label}})
+        .Increment();
+    return Status::OK();
+  }
 
   Result<uint64_t> begin = TakeProcessCheckpoint();
   if (!begin.ok()) return std::move(begin).status();

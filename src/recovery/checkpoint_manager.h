@@ -61,9 +61,15 @@ class CheckpointManager {
 
   // One background sweep: saves state for every dirty idle context
   // (contexts with a live incoming call are deferred and re-armed via
-  // AsyncSweepDue), takes a process checkpoint, forces the bracket on the
-  // calling (background) chain with ForcePoint::kAsyncCheckpoint, and
-  // publishes. Returns Crashed when the process dies mid-sweep.
+  // AsyncSweepDue). When a bracket is due — none taken since this manager
+  // was built, or the log (summed over shards) has grown by at least the
+  // previous bracket's size since that bracket's end — it then takes a
+  // process checkpoint, forces the bracket on the calling (background)
+  // chain with ForcePoint::kAsyncCheckpoint, and publishes. Otherwise the
+  // state records stay unforced until a later send-time force (§4.3), and
+  // a recovery's pass 1 rebuilds the skipped rows from the records after
+  // the older published bracket. Returns Crashed when the process dies
+  // mid-sweep.
   Status RunAsyncSweep();
 
   // Log truncation (an engineering necessity checkpoints enable, though the
@@ -84,11 +90,16 @@ class CheckpointManager {
   uint64_t publish_skips() const { return publish_skips_; }
   uint64_t async_sweeps() const { return async_sweeps_; }
   uint64_t async_deferrals() const { return async_deferrals_; }
+  uint64_t brackets_deferred() const { return brackets_deferred_; }
 
  private:
   // A context deferred by the last sweep has since finished its call and
   // can be captured now.
   bool HasDeferredIdleContext() const;
+
+  // Logical bytes appended to the log (head trimming does not lower it),
+  // summed over shards.
+  uint64_t LogAppendedBytes() const;
 
   Process* process_;
   uint64_t pending_begin_lsn_ = kInvalidLsn;
@@ -116,6 +127,12 @@ class CheckpointManager {
   std::set<uint64_t> deferred_contexts_;
   uint64_t last_sweep_incoming_calls_ = 0;
   std::map<uint64_t, uint64_t> calls_since_save_;  // context id -> count
+  // Size of the last bracket this manager took and LogAppendedBytes() just
+  // after its end record; an async sweep brackets again once the log has
+  // grown by that size. Both start at 0, so the first sweep after Start
+  // (which rebuilds the manager) always brackets.
+  uint64_t last_bracket_bytes_ = 0;
+  uint64_t appended_at_bracket_end_ = 0;
   uint64_t calls_since_checkpoint_ = 0;
   uint64_t state_saves_ = 0;
   uint64_t checkpoints_taken_ = 0;
@@ -123,6 +140,7 @@ class CheckpointManager {
   uint64_t publish_skips_ = 0;
   uint64_t async_sweeps_ = 0;
   uint64_t async_deferrals_ = 0;
+  uint64_t brackets_deferred_ = 0;
 };
 
 }  // namespace phoenix

@@ -426,7 +426,6 @@ Status RecoveryManager::PassOne(uint64_t start_order) {
         info.recovery_lsn = e->recovery_lsn;
         info.recovery_order = OrderOf(e->recovery_lsn);
       }
-      info.checkpoint_last_outgoing_seq = e->last_outgoing_seq;
     } else if (const auto* c =
                    std::get_if<CheckpointLastCallRecord>(&parsed->record)) {
       LastCallEntry entry;

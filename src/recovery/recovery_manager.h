@@ -95,7 +95,6 @@ class RecoveryManager {
     // by shard id, so every cross-context ordering decision (scan cuts,
     // below-origin filtering) uses this instead of recovery_lsn.
     uint64_t recovery_order = kInvalidLsn;
-    uint64_t checkpoint_last_outgoing_seq = 0;
     bool restored_from_state = false;
   };
 

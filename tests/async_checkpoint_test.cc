@@ -4,11 +4,15 @@
 // interleavings the async path exposes: crashes inside a background sweep,
 // a crash between the end-record append and the publish, recovery landing
 // on the older published checkpoint, and end-state equivalence with the
-// inline cadence on the same seed.
+// inline cadence on the same seed. The last group drives sweeps directly to
+// pin the bracket amortization rule: a sweep brackets only when the log has
+// grown by the last bracket's size since that bracket's end.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -294,6 +298,214 @@ TEST(AsyncCheckpointTest, GcPinsCheckpointCapturedReferences) {
   server.Kill();
   ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(1).ok());
   EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 14);
+}
+
+// --- bracket amortization: sweeps driven directly ---------------------------
+
+constexpr int kDirectCounters = 24;
+
+// One process of kDirectCounters counters driven inline by an external
+// client, with the async capture path switched on by hand so each test
+// decides exactly when a sweep runs. Enough contexts that a bracket's
+// table rows outweigh the records of a call or two.
+struct DirectRig {
+  explicit DirectRig(RuntimeOptions opts = RuntimeOptions())
+      : sim(opts),
+        machine(&sim.AddMachine("alpha")),
+        server(&machine->CreateProcess()),
+        client(&sim, "alpha") {
+    RegisterTestComponents(sim.factories());
+    for (int i = 0; i < kDirectCounters; ++i) {
+      auto uri = client.CreateComponent(*server, "Counter",
+                                        "c" + std::to_string(i),
+                                        ComponentKind::kPersistent, {});
+      EXPECT_TRUE(uri.ok());
+      counters.push_back(*uri);
+    }
+    server->set_async_checkpoint_active(true);
+  }
+
+  void Add(int i) {
+    ASSERT_TRUE(client.Call(counters[i], "Add", MakeArgs(1)).ok());
+  }
+
+  std::vector<int64_t> Values() {
+    std::vector<int64_t> values;
+    for (const std::string& uri : counters) {
+      auto got = client.Call(uri, "Get", {});
+      values.push_back(got.ok() ? got->AsInt() : -1);
+    }
+    return values;
+  }
+
+  // Kill + supervised restart; the restarted process keeps async capture.
+  void CrashAndRestart() {
+    server->Kill();
+    ASSERT_TRUE(machine->recovery_service().EnsureProcessAlive(1).ok());
+  }
+
+  CheckpointManager& cp() { return server->checkpoints(); }
+
+  size_t AsyncForces() const {
+    const auto& marks = server->log().force_marks();
+    return static_cast<size_t>(
+        std::count_if(marks.begin(), marks.end(), [](const ForceMark& m) {
+          return m.reason == ForcePoint::kAsyncCheckpoint;
+        }));
+  }
+
+  size_t BeginRecords() const {
+    std::vector<uint8_t> full = server->log().FullLog();
+    LogReader reader(LogView{&full, server->log().head_base()},
+                     server->log().head_base());
+    size_t begins = 0;
+    while (auto parsed = reader.Next()) {
+      if (std::holds_alternative<BeginCheckpointRecord>(parsed->record)) {
+        ++begins;
+      }
+    }
+    return begins;
+  }
+
+  double LargestBracketBytes() const {
+    return sim.metrics()
+        .MergedHistogram("phoenix.checkpoint.bracket_bytes")
+        .max();
+  }
+
+  Simulation sim;
+  Machine* machine;
+  Process* server;
+  ExternalClient client;
+  std::vector<std::string> counters;
+};
+
+TEST(AsyncCheckpointTest, FirstSweepAfterStartAndAfterRestartBrackets) {
+  DirectRig rig;
+  rig.Add(0);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().checkpoints_taken(), 1u);
+  EXPECT_EQ(rig.cp().brackets_deferred(), 0u);
+  EXPECT_EQ(rig.cp().checkpoints_published(), 1u);
+
+  // The same small step right after a bracket defers the next one...
+  rig.Add(1);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().checkpoints_taken(), 1u);
+  EXPECT_EQ(rig.cp().brackets_deferred(), 1u);
+
+  // ...but a restart rebuilds the manager, and its first sweep brackets no
+  // matter how little the log grew.
+  rig.CrashAndRestart();
+  Result<uint64_t> before = rig.server->log().ReadWellKnownLsn();
+  ASSERT_TRUE(before.ok());
+  rig.Add(1);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().checkpoints_taken(), 1u);
+  EXPECT_EQ(rig.cp().brackets_deferred(), 0u);
+  EXPECT_EQ(rig.cp().checkpoints_published(), 1u);
+  Result<uint64_t> after = rig.server->log().ReadWellKnownLsn();
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(*after, *before);
+}
+
+TEST(AsyncCheckpointTest, SweepBelowBracketSizeSavesStateWithoutBracket) {
+  DirectRig rig;
+  rig.Add(0);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  Result<uint64_t> published = rig.server->log().ReadWellKnownLsn();
+  ASSERT_TRUE(published.ok());
+  const uint64_t bracket_end = rig.server->log().next_lsn();
+  const uint64_t saves = rig.cp().state_saves();
+  const size_t async_forces = rig.AsyncForces();
+  const size_t begins = rig.BeginRecords();
+  ASSERT_EQ(begins, 1u);
+
+  rig.Add(3);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  // Precondition: the log grew by less than the bracket just taken.
+  ASSERT_LT(static_cast<double>(rig.server->log().next_lsn() - bracket_end),
+            rig.LargestBracketBytes());
+
+  // State was saved for the dirty context...
+  EXPECT_EQ(rig.cp().state_saves(), saves + 1);
+  Context* ctx = rig.server->FindContextOfComponent("c3");
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_GT(ctx->state_record_lsn(), bracket_end);
+  // ...left unforced for a later send-time force (§4.3)...
+  EXPECT_FALSE(rig.server->log().IsStable(ctx->state_record_lsn()));
+  // ...with no bracket appended, no async force and no publish.
+  EXPECT_EQ(rig.BeginRecords(), begins);
+  EXPECT_EQ(rig.cp().checkpoints_taken(), 1u);
+  EXPECT_EQ(rig.AsyncForces(), async_forces);
+  EXPECT_EQ(*rig.server->log().ReadWellKnownLsn(), *published);
+  EXPECT_EQ(rig.cp().brackets_deferred(), 1u);
+  EXPECT_EQ(rig.sim.metrics().CounterTotal(
+                "phoenix.checkpoint.async.brackets_deferred"),
+            1u);
+}
+
+// Runs rounds [from, to) of one Add + one sweep, each round's counter fixed
+// by its index; returns how many sweeps since the last bracket were
+// bracket-less.
+int DriveSweeps(DirectRig& rig, int from, int to, int bracketless = 0) {
+  for (int r = from; r < to; ++r) {
+    uint64_t taken = rig.cp().checkpoints_taken();
+    rig.Add((r * 7) % kDirectCounters);
+    EXPECT_TRUE(rig.cp().RunAsyncSweep().ok());
+    bracketless = rig.cp().checkpoints_taken() == taken ? bracketless + 1 : 0;
+  }
+  return bracketless;
+}
+
+TEST(AsyncCheckpointTest, CrashAfterBracketlessSweepsRecoversFromOlderBracket) {
+  constexpr int kRounds = 40;
+  // Fault-free twin: the same calls and sweeps, no crash.
+  DirectRig twin;
+  DriveSweeps(twin, 0, kRounds);
+  std::vector<int64_t> expected = twin.Values();
+
+  // Run until the last bracket is followed by at least three bracket-less
+  // sweeps, so the crash lands well past the published bracket.
+  DirectRig rig;
+  int round = 0;
+  int bracketless = 0;
+  while (round < kRounds && !(bracketless >= 3 && round >= kRounds / 2)) {
+    bracketless = DriveSweeps(rig, round, round + 1, bracketless);
+    ++round;
+  }
+  ASSERT_GE(bracketless, 3);
+  ASSERT_GT(rig.cp().checkpoints_taken(), 1u);
+  Result<uint64_t> published = rig.server->log().ReadWellKnownLsn();
+  ASSERT_TRUE(published.ok());
+
+  rig.CrashAndRestart();
+  // Recovery started from the older published bracket; pass 1 rebuilt the
+  // rows of the bracket-less sweeps from the records after it.
+  EXPECT_EQ(*rig.server->log().ReadWellKnownLsn(), *published);
+  DriveSweeps(rig, round, kRounds);
+  EXPECT_EQ(rig.Values(), expected);
+}
+
+TEST(AsyncCheckpointTest, GcNeverTrimsBelowPublishedBracketBetweenBrackets) {
+  RuntimeOptions opts;
+  opts.auto_truncate_log = true;
+  DirectRig rig(opts);
+  for (int r = 0; r < 60; ++r) {
+    rig.Add((r * 5) % kDirectCounters);
+    ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+    rig.cp().GarbageCollect();
+    Result<uint64_t> published = rig.server->log().ReadWellKnownLsn();
+    ASSERT_TRUE(published.ok());
+    EXPECT_LE(rig.server->log().head_base(), *published) << "round " << r;
+  }
+  EXPECT_GT(rig.cp().brackets_deferred(), 0u);
+  EXPECT_GT(rig.cp().checkpoints_published(), 1u);
+  EXPECT_GT(rig.server->log().head_base(), 0u);  // GC did reclaim
+
+  std::vector<int64_t> before = rig.Values();
+  rig.CrashAndRestart();
+  EXPECT_EQ(rig.Values(), before);
 }
 
 }  // namespace

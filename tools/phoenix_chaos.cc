@@ -538,6 +538,7 @@ const Mode kAsyncCheckpointMode = {
      {"async_sweeps", "phoenix.checkpoint.async.sweeps"},
      {"async_publishes", "phoenix.checkpoint.async.publishes"},
      {"async_deferrals", "phoenix.checkpoint.async.deferred"},
+     {"async_brackets_deferred", "phoenix.checkpoint.async.brackets_deferred"},
      {"publish_skips", "phoenix.checkpoint.publish_skips"},
      {"group_flushes", "phoenix.wal.group_commit.flushes"},
      {"parallel_replay_runs"},
