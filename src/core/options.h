@@ -47,18 +47,23 @@ struct RuntimeOptions {
   // checkpoints on a dedicated background session per process instead of
   // inline on the calling chain. Foreground calls only mark their context
   // dirty; every `async_checkpoint_interval` completed incoming calls the
-  // background session sweeps the dirty idle contexts (busy ones are
-  // deferred and re-armed). The sweep then takes a process checkpoint,
-  // forces the bracket on its own chain and publishes — but only when the
-  // log (summed over shards) has grown by at least the previous bracket's
-  // size since that bracket's end, and always on the first sweep after a
-  // (re)start. A sweep without a bracket leaves its state records for a
-  // later send-time force. Nothing is lost by skipping: recovery's pass 1
-  // scans from the published bracket and rebuilds every table row written
-  // after it from the state, creation and reply records it reads, so
-  // bracket bytes stay at most about half the log. §4.3's publish ordering
-  // is unchanged. Off by default so the inline cadence above stays the
-  // pinned reference behavior.
+  // background session sweeps the dirty contexts. It saves one only once
+  // the save pays for itself at recovery: its calls since the last save,
+  // at the cost model's recovery_replay_call_ms each, must cost at least
+  // recovery_restore_state_ms, what restoring a state record adds to a
+  // context's creation (~462 calls under the §5.4 model). Below that the
+  // context keeps its count and recovers by replay from its older origin;
+  // a due context that is busy is deferred and re-armed. The sweep then
+  // takes a process checkpoint, forces the bracket on its own chain and
+  // publishes — but only when the log (summed over shards) has grown by at
+  // least the previous bracket's size since that bracket's end, and always
+  // on the first sweep after a (re)start. A sweep without a bracket leaves
+  // its state records for a later send-time force. Nothing is lost by
+  // skipping: recovery's pass 1 scans from the published bracket and
+  // rebuilds every table row written after it from the state, creation and
+  // reply records it reads, so bracket bytes stay at most about half the
+  // log. §4.3's publish ordering is unchanged. Off by default so the
+  // inline cadence above stays the pinned reference behavior.
   bool async_checkpoint = false;
   uint32_t async_checkpoint_interval = 64;
 

@@ -349,15 +349,28 @@ Status CheckpointManager::RunAsyncSweep() {
       sim->tracer().StartSpan("checkpoint", "async_sweep", label, sim->Current());
   TraceFrameScope trace_frame(sim, span);
 
+  // A save is due only once it pays for itself at recovery (§5.4's costs):
+  // restoring a state record costs recovery_restore_state_ms more than
+  // creating the context, which buys back recovery_replay_call_ms per call
+  // it spares from replay. Below that a context keeps its count, is neither
+  // saved nor deferred, and recovers from its older origin by replay.
+  //
   // §4.2's "not active" rule, re-checked here because the capturing chain
   // no longer owns the context: only a context with no call in flight may
   // be captured. Busy/serving contexts are deferred — AsyncSweepDue re-arms
   // as soon as one goes idle.
+  const CostModel& costs = sim->costs();
   std::set<uint64_t> deferred;
   uint64_t saved = 0;
+  uint64_t not_due = 0;
   for (const auto& [context_id, ctx] : proc.contexts()) {
     auto dirty = calls_since_save_.find(context_id);
     if (dirty == calls_since_save_.end() || dirty->second == 0) continue;
+    if (static_cast<double>(dirty->second) * costs.recovery_replay_call_ms <
+        costs.recovery_restore_state_ms) {
+      ++not_due;
+      continue;
+    }
     if (ctx->busy() || ctx->serving()) {
       deferred.insert(context_id);
       ++async_deferrals_;
@@ -373,9 +386,17 @@ Status CheckpointManager::RunAsyncSweep() {
     ++saved;
   }
   deferred_contexts_ = std::move(deferred);
+  saves_not_due_ += not_due;
+  if (not_due > 0) {
+    sim->metrics()
+        .GetCounter("phoenix.checkpoint.async.saves_not_due",
+                    obs::LabelSet{{"process", label}})
+        .Increment(not_due);
+  }
   span.AddArg(obs::Arg("contexts_saved", saved));
   span.AddArg(
       obs::Arg("contexts_deferred", static_cast<uint64_t>(deferred_contexts_.size())));
+  span.AddArg(obs::Arg("contexts_not_due", not_due));
 
   // A bracket re-logs the whole context and last-call tables, so it is
   // amortized against log growth: only once the log has grown by the last

@@ -59,8 +59,12 @@ class CheckpointManager {
   // Evaluated as a ParkUntil predicate while every chain is quiesced.
   bool AsyncSweepDue(uint32_t interval) const;
 
-  // One background sweep: saves state for every dirty idle context
-  // (contexts with a live incoming call are deferred and re-armed via
+  // One background sweep: saves state for every dirty idle context whose
+  // save pays for itself at recovery — calls since its last save, each
+  // costing costs.recovery_replay_call_ms to replay, at least
+  // costs.recovery_restore_state_ms, the extra cost of restoring a state
+  // record (contexts below that are skipped and keep their count; contexts
+  // with a live incoming call are deferred and re-armed via
   // AsyncSweepDue). When a bracket is due — none taken since this manager
   // was built, or the log (summed over shards) has grown by at least the
   // previous bracket's size since that bracket's end — it then takes a
@@ -91,6 +95,8 @@ class CheckpointManager {
   uint64_t async_sweeps() const { return async_sweeps_; }
   uint64_t async_deferrals() const { return async_deferrals_; }
   uint64_t brackets_deferred() const { return brackets_deferred_; }
+  // Dirty contexts async sweeps skipped because their save was not yet due.
+  uint64_t saves_not_due() const { return saves_not_due_; }
 
  private:
   // A context deferred by the last sweep has since finished its call and
@@ -141,6 +147,7 @@ class CheckpointManager {
   uint64_t async_sweeps_ = 0;
   uint64_t async_deferrals_ = 0;
   uint64_t brackets_deferred_ = 0;
+  uint64_t saves_not_due_ = 0;
 };
 
 }  // namespace phoenix

@@ -238,6 +238,7 @@ Status RecoveryManager::Recover() {
     InstallTables();
     span.AddArg(obs::Arg("contexts_restored_from_state",
                          stats_.contexts_restored_from_state));
+    span.AddArg(obs::Arg("contexts_created", stats_.contexts_created));
   }
 
   // New components created while recovering (replayed activator calls whose
@@ -272,6 +273,16 @@ Status RecoveryManager::Recover() {
   sim->metrics()
       .GetCounter("phoenix.recovery.calls_replayed", labels)
       .Increment(stats_.calls_replayed);
+  sim->metrics()
+      .GetCounter("phoenix.recovery.contexts_restored_from_state", labels)
+      .Increment(stats_.contexts_restored_from_state);
+  sim->metrics()
+      .GetCounter("phoenix.recovery.contexts_created", labels)
+      .Increment(stats_.contexts_created);
+  sim->metrics()
+      .GetCounter("phoenix.recovery.context_recoveries", labels)
+      .Increment(stats_.contexts_restored_from_state +
+                 stats_.contexts_created);
   sim->metrics()
       .GetHistogram("phoenix.recovery.duration_ms", labels)
       .Record(elapsed);
@@ -563,6 +574,7 @@ Status RecoveryManager::RestoreOneContext(uint64_t context_id,
                       creation->name, creation->kind, context_id);
     proc.IndexComponentName(creation->name, context_id);
     ctx->set_creation_lsn(info.recovery_lsn);
+    ++stats_.contexts_created;
     return Status::OK();
   }
   return Status::Corruption(

@@ -82,6 +82,8 @@ class RecoveryManager {
     uint64_t calls_replayed = 0;
     uint64_t creations_replayed = 0;
     uint64_t contexts_restored_from_state = 0;
+    // Contexts rebuilt from their creation record (replayed from creation).
+    uint64_t contexts_created = 0;
     uint64_t contexts_found = 0;
   };
   const Stats& stats() const { return stats_; }

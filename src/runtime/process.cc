@@ -231,6 +231,14 @@ void Process::Start() {
     // resume inside the old manager's commit pipeline.
     zombie_logs_.push_back(std::move(log_));
   }
+  // With no session scheduler running no session can be parked in a
+  // graveyard object, and with no context on the driver's stack no frame
+  // of ours is executing in one: nothing can resume there, so free them.
+  if (sim->session_scheduler() == nullptr &&
+      sim->current_context() == nullptr) {
+    zombie_contexts_.clear();
+    zombie_logs_.clear();
+  }
   uint32_t shards = std::min<uint32_t>(
       std::max<uint32_t>(sim->options().wal_shards, 1), 64);
   log_ = std::make_unique<LogManager>(log_name(), &sim->storage(),

@@ -155,6 +155,10 @@ class Process {
   uint64_t incoming_calls() const { return incoming_calls_; }
   void CountIncomingCall() { ++incoming_calls_; }
   uint64_t crash_count() const { return crash_count_; }
+  // Context tables and log managers kept alive in the crash graveyard.
+  size_t graveyard_size() const {
+    return zombie_contexts_.size() + zombie_logs_.size();
+  }
 
  private:
   // Torn-tail injection: consults the failure injector when this process
@@ -194,8 +198,12 @@ class Process {
 
   // Crash graveyard: sessions parked inside a context's or log manager's
   // member functions when the process dies resume on the old objects (and
-  // immediately unwind with Crashed). Keeping the corpses alive until the
-  // process itself is destroyed makes that resume memory-safe.
+  // immediately unwind with Crashed), and a driver-chain call that killed
+  // its own process unwinds through them. Start() frees the graveyard when
+  // neither can happen — no session scheduler is running and no context is
+  // on the driver's stack — and otherwise keeps the corpses until a later
+  // such Start() or the process's destruction, which keeps that resume
+  // memory-safe.
   std::vector<std::map<uint64_t, std::unique_ptr<Context>>> zombie_contexts_;
   std::vector<std::unique_ptr<LogManager>> zombie_logs_;
 };

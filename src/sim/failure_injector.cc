@@ -113,11 +113,13 @@ bool FailureInjector::ShouldCrash(const std::string& machine,
     if (match != pending.end()) {
       pending.erase(match);
       ++crashes_fired_;
+      ++fired_at_[static_cast<int>(point)];
       return true;
     }
   }
   if (random_p_ > 0.0 && rng_.Bernoulli(random_p_)) {
     ++crashes_fired_;
+    ++fired_at_[static_cast<int>(point)];
     return true;
   }
   return false;
@@ -135,6 +137,7 @@ void FailureInjector::Clear() {
   triggers_.clear();
   random_p_ = 0.0;
   crashes_fired_ = 0;
+  fired_at_ = {};
   torn_p_ = 0.0;
   max_tear_bytes_ = 48;
   torn_tails_fired_ = 0;

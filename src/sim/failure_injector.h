@@ -1,6 +1,7 @@
 #ifndef PHOENIX_SIM_FAILURE_INJECTOR_H_
 #define PHOENIX_SIM_FAILURE_INJECTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -97,8 +98,12 @@ class FailureInjector {
   bool ShouldCrash(const std::string& machine, uint32_t process_id,
                    FailurePoint point);
 
-  // Number of crashes this injector has caused so far.
+  // Number of crashes this injector has caused so far, in total and at
+  // `point` (armed triggers and random crashes alike).
   uint64_t crashes_fired() const { return crashes_fired_; }
+  uint64_t crashes_fired_at(FailurePoint point) const {
+    return fired_at_[static_cast<int>(point)];
+  }
 
   // Schedule a storage attack against `process_id`'s recovery files,
   // applied by the recovery supervisor just before recovery attempt
@@ -136,6 +141,7 @@ class FailureInjector {
   double random_p_ = 0.0;
   Random rng_;
   uint64_t crashes_fired_ = 0;
+  std::array<uint64_t, kNumFailurePoints> fired_at_{};
   double torn_p_ = 0.0;
   uint32_t max_tear_bytes_ = 48;
   Random tear_rng_{0};

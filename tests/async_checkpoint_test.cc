@@ -4,11 +4,14 @@
 // interleavings the async path exposes: crashes inside a background sweep,
 // a crash between the end-record append and the publish, recovery landing
 // on the older published checkpoint, and end-state equivalence with the
-// inline cadence on the same seed. The last group drives sweeps directly to
-// pin the bracket amortization rule: a sweep brackets only when the log has
-// grown by the last bracket's size since that bracket's end.
+// inline cadence on the same seed. The last groups drive sweeps directly to
+// pin the bracket amortization rule — a sweep brackets only when the log has
+// grown by the last bracket's size since that bracket's end — and the save
+// rule: a sweep saves a context only once replaying its calls since the last
+// save would cost recovery at least as much as restoring a state record.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -39,6 +42,16 @@ RuntimeOptions AsyncOptions(uint32_t interval = 10) {
   // checkpointing runs under group commit (see DESIGN.md §9).
   opts.group_commit = true;
   return opts;
+}
+
+// A cost model under which a context's save is due once it has `calls`
+// calls since its last save: restoring its state record costs exactly that
+// many replayed calls. SaveDueAfter(1) saves every dirty context.
+SimulationParams SaveDueAfter(uint64_t calls) {
+  SimulationParams params;
+  params.costs.recovery_restore_state_ms =
+      static_cast<double>(calls) * params.costs.recovery_replay_call_ms;
+  return params;
 }
 
 // Builds the standard two-machine topology: persistent Chain callers on the
@@ -100,7 +113,10 @@ int64_t CounterValue(Simulation& sim, const Topology& topo, int s) {
 }
 
 TEST(AsyncCheckpointTest, SweepsCaptureAndPublishOffTheForegroundChain) {
-  Simulation sim(AsyncOptions());
+  // Each counter sees only kCallsPerSession calls, far below the default
+  // cost model's save threshold, so this cost model makes every dirty
+  // context due.
+  Simulation sim(AsyncOptions(), SaveDueAfter(1));
   RegisterTestComponents(sim.factories());
   Topology topo = Deploy(sim, kSessions);
   RunWorkload(sim, topo);
@@ -309,8 +325,9 @@ constexpr int kDirectCounters = 24;
 // decides exactly when a sweep runs. Enough contexts that a bracket's
 // table rows outweigh the records of a call or two.
 struct DirectRig {
-  explicit DirectRig(RuntimeOptions opts = RuntimeOptions())
-      : sim(opts),
+  explicit DirectRig(RuntimeOptions opts = RuntimeOptions(),
+                     SimulationParams params = SimulationParams())
+      : sim(opts, params),
         machine(&sim.AddMachine("alpha")),
         server(&machine->CreateProcess()),
         client(&sim, "alpha") {
@@ -325,8 +342,10 @@ struct DirectRig {
     server->set_async_checkpoint_active(true);
   }
 
-  void Add(int i) {
-    ASSERT_TRUE(client.Call(counters[i], "Add", MakeArgs(1)).ok());
+  void Add(int i, int times = 1) {
+    for (int t = 0; t < times; ++t) {
+      ASSERT_TRUE(client.Call(counters[i], "Add", MakeArgs(1)).ok());
+    }
   }
 
   std::vector<int64_t> Values() {
@@ -410,7 +429,8 @@ TEST(AsyncCheckpointTest, FirstSweepAfterStartAndAfterRestartBrackets) {
 }
 
 TEST(AsyncCheckpointTest, SweepBelowBracketSizeSavesStateWithoutBracket) {
-  DirectRig rig;
+  // One call makes c3's save due, so the sweep saves it.
+  DirectRig rig(RuntimeOptions(), SaveDueAfter(1));
   rig.Add(0);
   ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
   Result<uint64_t> published = rig.server->log().ReadWellKnownLsn();
@@ -506,6 +526,124 @@ TEST(AsyncCheckpointTest, GcNeverTrimsBelowPublishedBracketBetweenBrackets) {
   std::vector<int64_t> before = rig.Values();
   rig.CrashAndRestart();
   EXPECT_EQ(rig.Values(), before);
+}
+
+// --- save rule: a save is due once it pays for itself at recovery ---------
+
+TEST(AsyncCheckpointTest, ContextBelowSaveThresholdRecoversFromCreationRecord) {
+  // The same calls and sweeps under the default cost model (10 calls, far
+  // below the save threshold) and under one that saves every dirty context.
+  DirectRig rig;
+  DirectRig twin(RuntimeOptions(), SaveDueAfter(1));
+  for (DirectRig* r : {&rig, &twin}) {
+    r->Add(0, 10);
+    r->Add(5, 3);
+    ASSERT_TRUE(r->cp().RunAsyncSweep().ok());
+  }
+
+  // Below the threshold: no state record, the origin stays the creation
+  // record, and the skip is counted.
+  Context* ctx = rig.server->FindContextOfComponent("c0");
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_EQ(rig.cp().state_saves(), 0u);
+  EXPECT_EQ(rig.cp().saves_not_due(), 2u);
+  EXPECT_EQ(rig.sim.metrics().CounterTotal(
+                "phoenix.checkpoint.async.saves_not_due"),
+            2u);
+  EXPECT_EQ(ctx->state_record_lsn(), kInvalidLsn);
+  EXPECT_EQ(ctx->recovery_lsn(), ctx->creation_lsn());
+  // The twin saved both dirty contexts.
+  EXPECT_EQ(twin.cp().state_saves(), 2u);
+  EXPECT_EQ(twin.cp().saves_not_due(), 0u);
+  Context* twin_ctx = twin.server->FindContextOfComponent("c0");
+  ASSERT_NE(twin_ctx, nullptr);
+  EXPECT_NE(twin_ctx->state_record_lsn(), kInvalidLsn);
+
+  rig.CrashAndRestart();
+  twin.CrashAndRestart();
+  // Recovery created every context from its creation record and replayed
+  // the calls; the twin restored the saved two from their state records.
+  const obs::MetricsRegistry& m = rig.sim.metrics();
+  EXPECT_EQ(m.CounterTotal("phoenix.recovery.contexts_restored_from_state"),
+            0u);
+  EXPECT_EQ(m.CounterTotal("phoenix.recovery.contexts_created"),
+            static_cast<uint64_t>(kDirectCounters));
+  EXPECT_EQ(twin.sim.metrics().CounterTotal(
+                "phoenix.recovery.contexts_restored_from_state"),
+            2u);
+  EXPECT_GE(m.CounterTotal("phoenix.recovery.calls_replayed"), 13u);
+  // Both end in the same state.
+  std::vector<int64_t> values = rig.Values();
+  EXPECT_EQ(values, twin.Values());
+  EXPECT_EQ(values[0], 10);
+  EXPECT_EQ(values[5], 3);
+}
+
+TEST(AsyncCheckpointTest, ContextCrossingSaveThresholdIsSavedOnNextSweep) {
+  // The default cost model: a save is due at the first call count whose
+  // replay costs at least a state restore.
+  DirectRig rig;
+  const CostModel& costs = rig.sim.costs();
+  const int due = static_cast<int>(std::ceil(
+      costs.recovery_restore_state_ms / costs.recovery_replay_call_ms));
+  ASSERT_GT(due, 1);
+
+  rig.Add(2, due - 1);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().state_saves(), 0u);
+  EXPECT_EQ(rig.cp().saves_not_due(), 1u);
+  // A sweep in between with nothing new neither saves nor resets c2.
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().state_saves(), 0u);
+
+  // The count was kept, so one more call makes the next sweep save it.
+  rig.Add(2);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().state_saves(), 1u);
+  Context* ctx = rig.server->FindContextOfComponent("c2");
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_NE(ctx->state_record_lsn(), kInvalidLsn);
+  EXPECT_EQ(ctx->recovery_lsn(), ctx->state_record_lsn());
+
+  // The save reset the count: the next call is below the threshold again.
+  rig.Add(2);
+  ASSERT_TRUE(rig.cp().RunAsyncSweep().ok());
+  EXPECT_EQ(rig.cp().state_saves(), 1u);
+
+  std::vector<int64_t> before = rig.Values();
+  rig.CrashAndRestart();
+  EXPECT_EQ(rig.sim.metrics().CounterTotal(
+                "phoenix.recovery.contexts_restored_from_state"),
+            1u);
+  EXPECT_EQ(rig.Values(), before);
+  EXPECT_EQ(before[2], due + 1);
+}
+
+TEST(AsyncCheckpointTest, BelowThresholdContextsAreNeitherSavedNorDeferred) {
+  // Under sessions a context serving a call is deferred — but only once its
+  // save is due. Under the default cost model none is, so the background
+  // sweeps neither save nor defer anything.
+  auto run = [](SimulationParams params) {
+    Simulation sim(AsyncOptions(4), params);
+    RegisterTestComponents(sim.factories());
+    Topology topo = Deploy(sim, kSessions);
+    RunWorkload(sim, topo);
+    for (int s = 0; s < kSessions; ++s) {
+      EXPECT_EQ(CounterValue(sim, topo, s), kCallsPerSession);
+    }
+    const CheckpointManager& cp = topo.server->checkpoints();
+    return std::vector<uint64_t>{cp.async_sweeps(), cp.state_saves(),
+                                 cp.async_deferrals(), cp.saves_not_due()};
+  };
+  std::vector<uint64_t> model = run(SimulationParams());
+  std::vector<uint64_t> every = run(SaveDueAfter(1));
+  EXPECT_GT(model[0], 0u);   // sweeps ran...
+  EXPECT_EQ(model[1], 0u);   // ...saved nothing...
+  EXPECT_EQ(model[2], 0u);   // ...deferred nothing...
+  EXPECT_GT(model[3], 0u);   // ...and skipped the dirty contexts.
+  EXPECT_GT(every[1], 0u);   // The same workload saving every dirty context
+  EXPECT_GT(every[2], 0u);   // does defer the ones serving a call.
+  EXPECT_EQ(every[3], 0u);
 }
 
 }  // namespace

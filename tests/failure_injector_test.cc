@@ -35,6 +35,21 @@ TEST(FailureInjectorTest, MultipleTriggersSameKey) {
   EXPECT_EQ(injector.crashes_fired(), 2u);
 }
 
+TEST(FailureInjectorTest, FiredCrashesAreCountedPerPoint) {
+  FailureInjector injector;
+  injector.AddTrigger("m", 1, FailurePoint::kDuringStateSave, 1);
+  injector.AddTrigger("m", 1, FailurePoint::kDuringStateSave, 2);
+  injector.AddTrigger("m", 1, FailurePoint::kDuringCheckpoint, 5);  // unmet
+  EXPECT_TRUE(injector.ShouldCrash("m", 1, FailurePoint::kDuringStateSave));
+  EXPECT_TRUE(injector.ShouldCrash("m", 1, FailurePoint::kDuringStateSave));
+  EXPECT_FALSE(injector.ShouldCrash("m", 1, FailurePoint::kDuringCheckpoint));
+  EXPECT_EQ(injector.crashes_fired_at(FailurePoint::kDuringStateSave), 2u);
+  EXPECT_EQ(injector.crashes_fired_at(FailurePoint::kDuringCheckpoint), 0u);
+  EXPECT_EQ(injector.crashes_fired(), 2u);
+  injector.Clear();
+  EXPECT_EQ(injector.crashes_fired_at(FailurePoint::kDuringStateSave), 0u);
+}
+
 TEST(FailureInjectorTest, HitCountsPersistAcrossNonFiringHits) {
   FailureInjector injector;
   for (int i = 0; i < 5; ++i) {

@@ -1,8 +1,12 @@
-// Process-level behavior: the activator, component tables, lifecycle, and
-// call-delivery errors.
+// Process-level behavior: the activator, component tables, lifecycle,
+// call-delivery errors, and the crash graveyard's lifetime.
+
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "recovery/recovery_service.h"
 #include "tests/test_components.h"
 
 namespace phoenix {
@@ -135,6 +139,84 @@ TEST_F(ProcessTest, ComponentKindNamesAreStable) {
   EXPECT_TRUE(IsStatefulKind(ComponentKind::kSubordinate));
   EXPECT_FALSE(IsStatefulKind(ComponentKind::kFunctional));
   EXPECT_FALSE(IsPhoenixKind(ComponentKind::kExternal));
+}
+
+TEST_F(ProcessTest, RestartsOutsideSessionsFreeTheGraveyard) {
+  ExternalClient client(sim_.get(), "alpha");
+  std::vector<std::string> uris;
+  for (int i = 0; i < 4; ++i) {
+    auto uri = client.CreateComponent(*proc_, "Counter",
+                                      "c" + std::to_string(i),
+                                      ComponentKind::kPersistent, {});
+    ASSERT_TRUE(uri.ok());
+    uris.push_back(*uri);
+  }
+  for (int cycle = 1; cycle <= 5; ++cycle) {
+    for (const std::string& uri : uris) {
+      ASSERT_TRUE(client.Call(uri, "Add", MakeArgs(1)).ok());
+    }
+    proc_->Kill();
+    // The dead process keeps its contexts until the restart: nothing has
+    // proven yet that no frame runs in them.
+    EXPECT_EQ(proc_->graveyard_size(), 1u) << "cycle " << cycle;
+    ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+    // Restarted on the driver chain with no session scheduler and no
+    // context on the stack: the old contexts and log are freed.
+    EXPECT_EQ(proc_->graveyard_size(), 0u) << "cycle " << cycle;
+    for (const std::string& uri : uris) {
+      EXPECT_EQ(client.Call(uri, "Get", {})->AsInt(), cycle) << uri;
+    }
+  }
+}
+
+TEST(ProcessGraveyardTest, SessionParkedInKilledContextKeepsItAlive) {
+  RuntimeOptions opts;
+  opts.group_commit = true;  // the reply-time force parks the session
+  Simulation sim(opts);
+  RegisterTestComponents(sim.factories());
+  Machine& alpha = sim.AddMachine("alpha");
+  Process& proc = alpha.CreateProcess();
+  ExternalClient admin(&sim, "alpha");
+  auto uri = admin.CreateComponent(proc, "Counter", "c",
+                                   ComponentKind::kPersistent, {});
+  ASSERT_TRUE(uri.ok());
+  Context* parked_in = proc.FindContextOfComponent("c");
+  ASSERT_NE(parked_in, nullptr);
+
+  Status caller = Status::Internal("not run");
+  size_t graveyard_after_restart = 0;
+  bool killed_while_serving = false;
+  std::vector<std::function<void()>> bodies;
+  bodies.push_back([&] {
+    ExternalClient driver(&sim, "alpha");
+    caller = driver.Call(*uri, "Add", MakeArgs(1)).status();
+  });
+  bodies.push_back([&] {
+    // Wait until the other session is inside the counter's context (parked
+    // on its reply-time durability wait), then kill and restart the
+    // process under it.
+    sim.session_scheduler()->ParkUntil([&] { return parked_in->serving(); });
+    killed_while_serving = parked_in->serving();
+    proc.Kill();
+    Status restarted = alpha.recovery_service().EnsureProcessAlive(1);
+    EXPECT_TRUE(restarted.ok()) << restarted.ToString();
+    graveyard_after_restart = proc.graveyard_size();
+  });
+  sim.RunSessions(std::move(bodies));
+
+  EXPECT_TRUE(killed_while_serving);
+  // The restart ran inside RunSessions, so the old context and log stayed
+  // in the graveyard for the parked session to resume on and unwind
+  // through; the caller's retry then reached the restarted process.
+  EXPECT_GE(graveyard_after_restart, 2u);
+  EXPECT_TRUE(caller.ok()) << caller.ToString();
+  EXPECT_GE(proc.graveyard_size(), 2u);
+
+  // The next restart outside RunSessions frees them.
+  proc.Kill();
+  ASSERT_TRUE(alpha.recovery_service().EnsureProcessAlive(1).ok());
+  EXPECT_EQ(proc.graveyard_size(), 0u);
+  ASSERT_TRUE(admin.Call(*uri, "Get", {}).ok());
 }
 
 }  // namespace

@@ -34,8 +34,10 @@
 //                             WAL. Twin: fault-free single log.
 //   --async-checkpoint        inline save/checkpoint cadence off, background
 //                             sweeper on, crashes inside the sweeps and
-//                             crash-time torn tails; always in waves. Twin:
-//                             fault-free, same layout.
+//                             crash-time torn tails; always in waves; half
+//                             the runs price a state restore low enough
+//                             that sweeps save. Twin: fault-free, same
+//                             layout and costs.
 //   --crash-during-recovery   a mid-run server kill whose recovery is crashed
 //                             again at recovery-phase points (nested up to
 //                             depth 3), with storage attacks between
@@ -173,6 +175,10 @@ struct RunConfig {
   // > 0: async_checkpoint_interval of the background checkpoint sweeper,
   // which takes over from the (then zero) inline cadence.
   uint32_t async_interval = 0;
+  // > 0: the run's cost model prices a state restore at this many replayed
+  // calls, so a sweep saves a context once it has that many calls since its
+  // last save (0 keeps the model's ~460).
+  uint32_t save_due_after = 0;
 
   // Faults the faulted run installs right after deploying; crash triggers
   // target the seller's process.
@@ -329,7 +335,11 @@ RunConfig MakeRecoveryCrashConfig(const CampaignOptions& campaign, int run) {
 // bracket (kDuringCheckpoint) and in the group flush the sweep's force
 // joins (kDuringGroupFlush) — and optional crash-time torn tails eating the
 // unpublished bracket, which must fall back to the older published
-// checkpoint without observable drift. Persistent topologies only.
+// checkpoint without observable drift. A bookstore context sees far fewer
+// calls per run than the cost model's save threshold, so half the runs
+// price a state restore at 1..4 replayed calls: their sweeps save (and
+// defer busy contexts), which is what the state-save crashes need.
+// Persistent topologies only.
 RunConfig MakeAsyncCheckpointConfig(const CampaignOptions& campaign,
                                     int run) {
   Random rng(campaign.seed * 3000017ull + static_cast<uint64_t>(run));
@@ -379,6 +389,9 @@ RunConfig MakeAsyncCheckpointConfig(const CampaignOptions& campaign,
     cfg.crashes.emplace_back(point, cumulative[static_cast<int>(point)]);
   }
   if (rng.Bernoulli(0.5)) cfg.torn_p = 0.1 + rng.NextDouble() * 0.5;
+  if (rng.Bernoulli(0.5)) {
+    cfg.save_due_after = 1 + static_cast<uint32_t>(rng.Uniform(4));
+  }
   return cfg;
 }
 
@@ -540,11 +553,17 @@ const Mode kAsyncCheckpointMode = {
      {"async_deferrals", "phoenix.checkpoint.async.deferred"},
      {"async_brackets_deferred", "phoenix.checkpoint.async.brackets_deferred"},
      {"publish_skips", "phoenix.checkpoint.publish_skips"},
+     {"saves_not_due", "phoenix.checkpoint.async.saves_not_due"},
+     {"state_saves", "phoenix.checkpoint.state_saves"},
      {"group_flushes", "phoenix.wal.group_commit.flushes"},
      {"parallel_replay_runs"},
-     {"crashes_at_state_save"},
-     {"crashes_at_checkpoint"},
-     {"crashes_at_group_flush"}}};
+     {"save_threshold_runs"},
+     {"triggers_at_state_save", "crashes_at_state_save"},
+     {"triggers_at_checkpoint", "crashes_at_checkpoint"},
+     {"triggers_at_group_flush", "crashes_at_group_flush"},
+     {"crashes_fired_at_state_save", "crashes_at_state_save/fired"},
+     {"crashes_fired_at_checkpoint", "crashes_at_checkpoint/fired"},
+     {"crashes_fired_at_group_flush", "crashes_at_group_flush/fired"}}};
 
 const Mode kWalShardsMode = {
     "chaos_wal_shards",
@@ -577,8 +596,9 @@ const Mode kWalShardsMode = {
 
 const char* MetricKey(const Metric& m) { return m.key ? m.key : m.name; }
 
-// Tally name for a crash trigger aimed at `point`, or nullptr for the
-// protocol hooks no report breaks down.
+// Tally name for the crash triggers armed at `point` (crashes fired there
+// are tallied under the name + "/fired"), or nullptr for the protocol hooks
+// no report breaks down.
 const char* TriggerMetric(FailurePoint point) {
   switch (point) {
     case FailurePoint::kDuringStateSave:
@@ -605,6 +625,7 @@ void TallyConfig(const RunConfig& cfg, Tally& tally) {
   tally["concurrent_runs"] += cfg.overlap > 1 ? 1 : 0;
   tally["group_commit_runs"] += cfg.group_commit ? 1 : 0;
   tally["parallel_replay_runs"] += cfg.parallel_replay ? 1 : 0;
+  tally["save_threshold_runs"] += cfg.save_due_after > 0 ? 1 : 0;
   tally["storage_attack_runs"] +=
       cfg.bitrot_state || cfg.bitrot_wkf || cfg.tear_shard ? 1 : 0;
   if (cfg.depth > 0) ++tally[StrCat("depth", cfg.depth, "_runs")];
@@ -719,11 +740,17 @@ void CheckExactlyOnce(Simulation& sim, ExternalClient& admin,
 }
 
 // Adds one faulted run's counters to the tally: each machine's recovery
-// service once, the injector's and network's fault counts, and every
-// registry counter the mode reports.
+// service once, the injector's and network's fault counts (crashes also per
+// failure point), and every registry counter the mode reports.
 void Harvest(Simulation& sim, const Mode& mode,
              const std::vector<Machine*>& machines, Tally& tally) {
   tally["crashes_fired"] += sim.injector().crashes_fired();
+  for (int p = 0; p < kNumFailurePoints; ++p) {
+    auto point = static_cast<FailurePoint>(p);
+    if (const char* name = TriggerMetric(point)) {
+      tally[StrCat(name, "/fired")] += sim.injector().crashes_fired_at(point);
+    }
+  }
   tally["storage_attacks_applied"] += sim.injector().recovery_attacks_fired();
   tally["torn_tails_injected"] += sim.injector().torn_tails_fired();
   tally["net_messages_dropped"] += sim.network().messages_dropped();
@@ -782,6 +809,10 @@ RunOutcome RunOne(const Mode& mode, const RunConfig& cfg, int run,
   SimulationParams params;
   params.seed = cfg.sim_seed;
   params.flight_recorder_events = kFlightEvents;
+  if (cfg.save_due_after > 0) {
+    params.costs.recovery_restore_state_ms =
+        cfg.save_due_after * params.costs.recovery_replay_call_ms;
+  }
   Simulation sim(runtime, params);
   bookstore::RegisterBookstoreComponents(sim.factories());
   sim.factories().Register<ShoppingAgent>("ShoppingAgent");
