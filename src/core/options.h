@@ -67,24 +67,11 @@ struct RuntimeOptions {
   bool async_checkpoint = false;
   uint32_t async_checkpoint_interval = 64;
 
-  // How many times a caller re-sends a call that found the server dead
-  // before giving up (condition 4 says "until it gets some response"; the
-  // bound keeps broken test setups from spinning forever).
-  int max_call_retries = 64;
-
-  // Capped exponential backoff between retries: attempt k sleeps
-  // min(initial * multiplier^k, max), plus a seeded uniform jitter of up to
-  // retry_jitter * backoff to de-synchronize concurrent retriers. The first
-  // sleep equals the old fixed 10 ms schedule, so fault-free timings and
-  // the Table 4 benchmark numbers are unchanged.
-  double retry_initial_backoff_ms = 10.0;
-  double retry_backoff_multiplier = 2.0;
-  double retry_max_backoff_ms = 80.0;
-  double retry_jitter = 0.1;
-
   // Total backoff budget one call may spend across all its retries, in sim
-  // milliseconds (0 = unbounded). With the default schedule 64 retries would
-  // otherwise burn >4 s of sim time per permanently-dead server.
+  // milliseconds (0 = unbounded). Retries follow core/retry.h's
+  // capped-exponential schedule (10 ms doubling to 80 ms, 10% seeded
+  // jitter); without a budget its 64 retries would burn >4 s of sim time
+  // per permanently-dead server.
   double call_retry_budget_ms = 250.0;
 
   // Whether ExternalClient retries unavailable calls too. Externals are
@@ -128,11 +115,6 @@ struct RuntimeOptions {
   // per-chain touched-shard bitmask width).
   uint32_t wal_shards = 1;
 
-  // Seed for the context -> shard router hash. Changing it re-partitions
-  // contexts across shards; recovery derives the mapping from the log
-  // contents, so any seed is safe across restarts.
-  uint64_t wal_shard_seed = 0;
-
   // Parallel replay (pass 2 of recovery): partition the log into
   // per-context replay chains, then replay them as overlapping scheduler
   // sessions bounded by the dependency critical path instead of total log
@@ -154,16 +136,11 @@ struct RuntimeOptions {
   // Recovery supervisor (RecoveryService::EnsureProcessAlive): each rung of
   // the degradation ladder — normal recovery, salvage-assessed recovery,
   // state-record cold start — gets this many attempts before escalating.
-  // Backoff between failed attempts is capped-exponential with seeded
-  // jitter, like call retries; a budget of 0 means no time bound (the
-  // attempt count alone terminates the loop). The fault-free path sleeps
-  // never, so these knobs cannot perturb pinned benchmarks.
+  // Backoff between failed attempts follows the call-retry schedule
+  // (core/retry.h) with no time bound: the attempt count alone terminates
+  // the loop. The fault-free path never sleeps, so this knob cannot perturb
+  // benchmark numbers.
   int recovery_supervisor_attempts_per_rung = 5;
-  double recovery_supervisor_backoff_initial_ms = 10.0;
-  double recovery_supervisor_backoff_multiplier = 2.0;
-  double recovery_supervisor_backoff_max_ms = 80.0;
-  double recovery_supervisor_backoff_jitter = 0.1;
-  double recovery_supervisor_backoff_budget_ms = 0.0;
 };
 
 }  // namespace phoenix

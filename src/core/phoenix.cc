@@ -18,8 +18,8 @@ Result<Value> ExternalClient::Call(const std::string& uri,
   // an external caller (§2.3).
 
   const RuntimeOptions& opts = sim_->options();
-  int attempts = opts.external_client_retries ? opts.max_call_retries + 1 : 1;
-  RetryBackoff backoff(opts);
+  int attempts = opts.external_client_retries ? kMaxCallRetries + 1 : 1;
+  RetryBackoff backoff(opts.call_retry_budget_ms);
   Status last = Status::Unavailable("not attempted");
   for (int i = 0; i < attempts; ++i) {
     ++calls_sent_;

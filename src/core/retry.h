@@ -4,58 +4,46 @@
 #include <algorithm>
 
 #include "common/random.h"
-#include "core/options.h"
 
 namespace phoenix {
 
-// Capped-exponential backoff schedule for one logical call's retry loop
-// (condition 4). Attempt k sleeps min(initial * multiplier^k, max) plus a
-// seeded uniform jitter of up to retry_jitter * that base, and the sum of
-// all sleeps for the call is bounded by call_retry_budget_ms (0 = no bound).
-// The jitter stream is only consumed when a sleep actually happens, so
-// fault-free runs never draw from it.
+// How many times a caller re-sends a call that found the server dead before
+// giving up (condition 4 says "until it gets some response"; the bound keeps
+// broken test setups from spinning forever).
+inline constexpr int kMaxCallRetries = 64;
+
+// Capped-exponential backoff schedule, shared by one logical call's retry
+// loop (condition 4, budget RuntimeOptions::call_retry_budget_ms) and the
+// recovery supervisor's between-attempt backoff (no budget). Attempt k
+// sleeps min(10 * 2^k, 80) ms plus a seeded uniform jitter of up to 10% of
+// that base to de-synchronize concurrent retriers, and the sum of all sleeps
+// is bounded by the budget (0 = no bound). The jitter stream is only
+// consumed when a sleep actually happens, so fault-free runs never draw
+// from it.
 class RetryBackoff {
  public:
-  explicit RetryBackoff(const RuntimeOptions& opts)
-      : RetryBackoff(opts.retry_initial_backoff_ms,
-                     opts.retry_backoff_multiplier, opts.retry_max_backoff_ms,
-                     opts.retry_jitter, opts.call_retry_budget_ms) {}
+  explicit RetryBackoff(double budget_ms) : budget_ms_(budget_ms) {}
 
-  // Explicit schedule, for loops with their own knobs (e.g. the recovery
-  // supervisor's between-attempt backoff).
-  RetryBackoff(double initial_ms, double multiplier, double max_ms,
-               double jitter, double budget_ms)
-      : initial_ms_(initial_ms),
-        multiplier_(multiplier),
-        max_ms_(max_ms),
-        jitter_(jitter),
-        budget_ms_(budget_ms),
-        next_ms_(initial_ms) {}
-
-  // The sleep before the next retry, or a negative value when the call's
-  // backoff budget is exhausted and the caller should give up.
+  // The sleep before the next retry, or a negative value when the backoff
+  // budget is exhausted and the caller should give up.
   double NextDelayMs(Random& jitter_rng) {
     if (budget_ms_ > 0.0 && spent_ms_ >= budget_ms_) return -1.0;
     double base = next_ms_;
-    next_ms_ = std::min(next_ms_ * multiplier_, max_ms_);
-    double delay = base;
-    if (jitter_ > 0.0 && base > 0.0) {
-      delay += base * jitter_ * jitter_rng.NextDouble();
-    }
+    next_ms_ = std::min(next_ms_ * kMultiplier, kMaxMs);
+    double delay = base + base * kJitter * jitter_rng.NextDouble();
     if (budget_ms_ > 0.0) delay = std::min(delay, budget_ms_ - spent_ms_);
     spent_ms_ += delay;
     return delay;
   }
 
-  double spent_ms() const { return spent_ms_; }
-
  private:
-  double initial_ms_;
-  double multiplier_;
-  double max_ms_;
-  double jitter_;
+  static constexpr double kInitialMs = 10.0;
+  static constexpr double kMultiplier = 2.0;
+  static constexpr double kMaxMs = 80.0;
+  static constexpr double kJitter = 0.1;
+
   double budget_ms_;
-  double next_ms_;
+  double next_ms_ = kInitialMs;
   double spent_ms_ = 0.0;
 };
 

@@ -300,8 +300,8 @@ std::string BenchReporter::ToJson() const {
   }
   w.EndArray();
   // Additive meta block: unit + direction for the union of metric names
-  // across all variants, sorted. Derived metadata only — goldens pin the
-  // measured values above, which this block never touches.
+  // across all variants, sorted. Derived metadata only — the baselines gate
+  // the measured values above, which this block never touches.
   std::set<std::string> names;
   for (const BenchVariant& variant : variants_) {
     for (const auto& [metric, value] : variant.metrics()) names.insert(metric);

@@ -34,8 +34,8 @@
 //   }
 //
 // The block is derived metadata only (no measured values live there), so
-// adding it never perturbs the pinned goldens; tools/phoenix_benchdiff uses
-// it to classify cross-run deltas as improvements or regressions.
+// adding it never perturbs a measured value; tools/phoenix_benchdiff uses
+// it to classify cross-run deltas as improvements, regressions or changes.
 
 #include <cstdint>
 #include <map>

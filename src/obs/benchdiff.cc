@@ -40,12 +40,6 @@ MetricMeta MetaForMetric(const ParsedReport* baseline,
   return ResolveMetricMeta(metric);
 }
 
-const ToleranceBand& BandFor(const DiffOptions& options,
-                             const std::string& metric) {
-  auto it = options.metric_band.find(metric);
-  return it == options.metric_band.end() ? options.default_band : it->second;
-}
-
 // One-sided metric entry (new or removed): still carries its value so the
 // report shows what appeared/disappeared.
 MetricDelta OneSidedDelta(const std::string& metric, const MetricMeta& meta,
@@ -76,8 +70,7 @@ VariantDiff OneSidedVariant(const ParsedReport* baseline,
 
 VariantDiff DiffVariant(const ParsedReport* base_report,
                         const ParsedReport* cand_report,
-                        const ParsedVariant& base, const ParsedVariant& cand,
-                        const DiffOptions& options) {
+                        const ParsedVariant& base, const ParsedVariant& cand) {
   VariantDiff vd;
   vd.name = base.name;
   auto bi = base.metrics.begin();
@@ -107,8 +100,7 @@ VariantDiff DiffVariant(const ParsedReport* base_report,
       d.candidate = ci->second;
       d.delta = d.candidate - d.baseline;
       d.delta_rel = d.baseline == 0 ? 0 : d.delta / std::fabs(d.baseline);
-      d.cls = ClassifyDelta(d.baseline, d.candidate, d.meta.direction,
-                            BandFor(options, d.metric));
+      d.cls = ClassifyDelta(d.baseline, d.candidate, d.meta.direction);
       vd.metrics.push_back(std::move(d));
       ++bi;
       ++ci;
@@ -117,8 +109,7 @@ VariantDiff DiffVariant(const ParsedReport* base_report,
   return vd;
 }
 
-BenchDiffEntry DiffBench(const ParsedReport* base, const ParsedReport* cand,
-                         const DiffOptions& options) {
+BenchDiffEntry DiffBench(const ParsedReport* base, const ParsedReport* cand) {
   BenchDiffEntry entry;
   entry.bench = base != nullptr ? base->bench : cand->bench;
   if (base == nullptr || cand == nullptr) {
@@ -142,8 +133,7 @@ BenchDiffEntry DiffBench(const ParsedReport* base, const ParsedReport* cand,
           OneSidedVariant(base, cand, v, /*in_candidate=*/false));
     } else {
       matched.insert(v.name);
-      entry.variants.push_back(DiffVariant(base, cand, v, *it->second,
-                                           options));
+      entry.variants.push_back(DiffVariant(base, cand, v, *it->second));
     }
   }
   for (const ParsedVariant& v : cand->variants) {
@@ -157,40 +147,38 @@ BenchDiffEntry DiffBench(const ParsedReport* base, const ParsedReport* cand,
   return entry;
 }
 
-void CountDeltas(const BenchDiffEntry& entry, BenchDiff* diff) {
-  for (const VariantDiff& vd : entry.variants) {
-    for (const MetricDelta& d : vd.metrics) {
-      switch (d.cls) {
-        case DeltaClass::kImprovement:
-          ++diff->improvements;
-          break;
-        case DeltaClass::kRegression:
-          ++diff->regressions;
-          break;
-        case DeltaClass::kNeutral:
-          ++diff->neutral;
-          break;
-        case DeltaClass::kNew:
-          ++diff->added;
-          break;
-        case DeltaClass::kRemoved:
-          ++diff->removed;
-          break;
-      }
-    }
+void Count(DeltaClass cls, BenchDiff* diff) {
+  switch (cls) {
+    case DeltaClass::kImprovement:
+      ++diff->improvements;
+      break;
+    case DeltaClass::kRegression:
+      ++diff->regressions;
+      break;
+    case DeltaClass::kNeutral:
+      ++diff->neutral;
+      break;
+    case DeltaClass::kChanged:
+      ++diff->changed;
+      break;
+    case DeltaClass::kNew:
+      ++diff->added;
+      break;
+    case DeltaClass::kRemoved:
+      ++diff->removed;
+      break;
   }
 }
 
-Result<ToleranceBand> ParseBand(const JsonValue& value) {
-  ToleranceBand band;
-  if (const JsonValue* abs = value.Find("abs")) band.abs = abs->AsNumber();
-  if (const JsonValue* rel = value.Find("rel_pct")) {
-    band.rel = rel->AsNumber() / 100.0;
+void CountDeltas(const BenchDiffEntry& entry, BenchDiff* diff) {
+  // An empty one-sided bench or variant has no metric to carry its class,
+  // so it counts itself: dropping it must still reach the gate.
+  auto one_sided = [](DeltaClass cls) { return cls != DeltaClass::kNeutral; };
+  if (entry.variants.empty() && one_sided(entry.cls)) Count(entry.cls, diff);
+  for (const VariantDiff& vd : entry.variants) {
+    if (vd.metrics.empty() && one_sided(vd.cls)) Count(vd.cls, diff);
+    for (const MetricDelta& d : vd.metrics) Count(d.cls, diff);
   }
-  if (band.abs < 0 || band.rel < 0) {
-    return Status::InvalidArgument("negative tolerance band");
-  }
-  return band;
 }
 
 }  // namespace
@@ -203,12 +191,26 @@ const char* DeltaClassName(DeltaClass cls) {
       return "regression";
     case DeltaClass::kNeutral:
       return "neutral";
+    case DeltaClass::kChanged:
+      return "changed";
     case DeltaClass::kNew:
       return "new";
     case DeltaClass::kRemoved:
       return "removed";
   }
   return "neutral";
+}
+
+const char* GateName(Gate gate) {
+  switch (gate) {
+    case Gate::kPass:
+      return "pass";
+    case Gate::kFail:
+      return "fail";
+    case Gate::kRebaseline:
+      return "rebaseline";
+  }
+  return "fail";
 }
 
 Result<ParsedReport> ParseBenchReport(std::string_view text) {
@@ -293,14 +295,11 @@ Result<std::vector<ParsedReport>> LoadBenchReportDir(const std::string& dir) {
 }
 
 DeltaClass ClassifyDelta(double baseline, double candidate,
-                         MetricDirection direction,
-                         const ToleranceBand& band) {
-  double delta = candidate - baseline;
-  double allowance = std::max(band.abs, band.rel * std::fabs(baseline));
-  if (std::fabs(delta) <= allowance) return DeltaClass::kNeutral;
-  if (direction == MetricDirection::kInformational) return DeltaClass::kNeutral;
-  bool better = direction == MetricDirection::kLowerIsBetter ? delta < 0
-                                                             : delta > 0;
+                         MetricDirection direction) {
+  if (candidate == baseline) return DeltaClass::kNeutral;
+  if (direction == MetricDirection::kInformational) return DeltaClass::kChanged;
+  bool lower = candidate < baseline;
+  bool better = direction == MetricDirection::kLowerIsBetter ? lower : !lower;
   return better ? DeltaClass::kImprovement : DeltaClass::kRegression;
 }
 
@@ -344,13 +343,6 @@ Result<SloConfig> ParseSloConfig(std::string_view text) {
           max->AsNumber()});
     }
   }
-  if (const JsonValue* tolerances = parsed->Find("tolerances")) {
-    for (const auto& [metric, value] : tolerances->AsObject()) {
-      Result<ToleranceBand> band = ParseBand(value);
-      if (!band.ok()) return band.status();
-      config.tolerances[metric] = *band;
-    }
-  }
   if (const JsonValue* headlines = parsed->Find("headlines")) {
     for (const JsonValue& row : headlines->AsArray()) {
       const JsonValue* bench = row.Find("bench");
@@ -382,8 +374,7 @@ std::map<std::string, double> FlattenMetrics(
 }
 
 BenchDiff DiffBenchReports(const std::vector<ParsedReport>& baseline,
-                           const std::vector<ParsedReport>& candidate,
-                           const DiffOptions& options) {
+                           const std::vector<ParsedReport>& candidate) {
   BenchDiff diff;
   std::map<std::string, const ParsedReport*> base_by_name;
   std::map<std::string, const ParsedReport*> cand_by_name;
@@ -397,7 +388,7 @@ BenchDiff DiffBenchReports(const std::vector<ParsedReport>& baseline,
     auto ci = cand_by_name.find(name);
     BenchDiffEntry entry =
         DiffBench(bi == base_by_name.end() ? nullptr : bi->second,
-                  ci == cand_by_name.end() ? nullptr : ci->second, options);
+                  ci == cand_by_name.end() ? nullptr : ci->second);
     CountDeltas(entry, &diff);
     diff.benches.push_back(std::move(entry));
   }
@@ -426,11 +417,12 @@ std::string BenchDiffToJson(const BenchDiff& diff,
   w.Key("improvements").Number(diff.improvements);
   w.Key("regressions").Number(diff.regressions);
   w.Key("neutral").Number(diff.neutral);
+  w.Key("changed").Number(diff.changed);
   w.Key("new").Number(diff.added);
   w.Key("removed").Number(diff.removed);
   w.Key("phoenix.slo.checked").Number(diff.slo_checked);
   w.Key("phoenix.slo.violations").Number(diff.slo_violations);
-  w.Key("gate").String(diff.GateFails() ? "fail" : "pass");
+  w.Key("gate").String(GateName(diff.gate()));
   w.EndObject();
   w.Key("slo").BeginArray();
   for (const BudgetOutcome& outcome : diff.slo) {
@@ -492,12 +484,18 @@ std::string BenchDiffToMarkdown(const BenchDiff& diff,
   out += StrCat("- baseline: `", baseline_label, "`\n");
   out += StrCat("- candidate: `", candidate_label, "`\n");
   out += StrCat("- metrics: ", diff.improvements, " improvement(s), ",
-                diff.regressions, " regression(s), ", diff.neutral,
-                " neutral, ", diff.added, " new, ", diff.removed,
-                " removed\n");
+                diff.regressions, " regression(s), ", diff.changed,
+                " changed, ", diff.neutral, " neutral, ", diff.added, " new, ",
+                diff.removed, " removed\n");
   out += StrCat("- SLO budgets: ", diff.slo_checked, " checked, ",
                 diff.slo_violations, " violation(s)\n");
-  out += StrCat("- gate: ", diff.GateFails() ? "**FAIL**" : "PASS", "\n");
+  const Gate gate = diff.gate();
+  out += StrCat("- gate: ",
+                gate == Gate::kPass   ? "PASS"
+                : gate == Gate::kFail ? "**FAIL**"
+                                      : "**REBASELINE** (only improvements and "
+                                        "new items: re-record bench/baselines/)",
+                "\n");
 
   out += "\n## SLO budgets\n\n";
   if (diff.slo.empty()) {
@@ -543,9 +541,9 @@ std::string BenchDiffToMarkdown(const BenchDiff& diff,
                 ? StrCat(JsonNumber(d.delta), " (",
                          FormatDouble(d.delta_rel * 100.0, 2), "%)")
                 : "-",
-            " | ", d.cls == DeltaClass::kRegression
-                       ? StrCat("**", DeltaClassName(d.cls), "**")
-                       : DeltaClassName(d.cls),
+            " | ", d.cls == DeltaClass::kImprovement || d.cls == DeltaClass::kNew
+                       ? DeltaClassName(d.cls)
+                       : StrCat("**", DeltaClassName(d.cls), "**"),
             " |\n");
       }
     }

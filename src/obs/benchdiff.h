@@ -1,14 +1,16 @@
 #ifndef PHOENIX_OBS_BENCHDIFF_H_
 #define PHOENIX_OBS_BENCHDIFF_H_
 
-// Cross-run performance sentinel. Loads two trees of phoenix.bench.v1
+// Cross-run performance ledger. Loads two trees of phoenix.bench.v1
 // reports — a committed baseline (bench/baselines/) and a fresh candidate
 // run — aligns benches, variants and metrics, and classifies every delta as
-// improvement / regression / neutral / new / removed using each metric's
-// direction metadata (the report meta block, falling back to the built-in
-// table) and a per-metric tolerance band. On top of the diff it evaluates
-// declarative SLO budgets (bench/slo.json) and maintains the bench history
-// ledger (bench/history.json): one row of headline metrics per PR.
+// improvement / regression / changed / neutral / new / removed using each
+// metric's direction metadata (the report meta block, falling back to the
+// built-in table). The benches are deterministic simulations, so the
+// comparison is exact: any difference at all classifies. On top of the diff
+// it evaluates declarative SLO budgets (bench/slo.json) and maintains the
+// bench history ledger (bench/history.json): one row of headline metrics
+// per PR.
 //
 // Everything here is a pure function of its inputs: same report trees, same
 // phoenix.benchdiff.v1 bytes, so CI can cmp two runs of the sentinel.
@@ -53,24 +55,22 @@ Result<std::vector<ParsedReport>> LoadBenchReportDir(const std::string& dir);
 
 // --- delta classification ------------------------------------------------
 
-enum class DeltaClass { kImprovement, kRegression, kNeutral, kNew, kRemoved };
+// kChanged is a difference in a metric without a direction
+// (informational): neither better nor worse, but still not the baseline.
+enum class DeltaClass {
+  kImprovement,
+  kRegression,
+  kNeutral,
+  kChanged,
+  kNew,
+  kRemoved
+};
 
 const char* DeltaClassName(DeltaClass cls);
 
-// A delta with |candidate - baseline| <= max(abs, rel * |baseline|) is
-// neutral; only deltas beyond the band classify by direction.
-struct ToleranceBand {
-  double abs = 0;
-  double rel = 0;  // fraction of |baseline|, not percent
-};
-
-struct DiffOptions {
-  ToleranceBand default_band;                        // exact by default
-  std::map<std::string, ToleranceBand> metric_band;  // per metric name
-};
-
+// Equal values are neutral; any other delta classifies by direction.
 DeltaClass ClassifyDelta(double baseline, double candidate,
-                         MetricDirection direction, const ToleranceBand& band);
+                         MetricDirection direction);
 
 struct MetricDelta {
   std::string metric;
@@ -123,8 +123,6 @@ std::vector<BudgetOutcome> CheckBudgets(
 struct SloConfig {
   // Budget keys are "bench/variant.metric"; max is the inclusive ceiling.
   std::vector<Budget> budgets;
-  // Extra tolerance per metric name, merged into DiffOptions::metric_band.
-  std::map<std::string, ToleranceBand> tolerances;
   // "bench/variant.metric" keys recorded per PR in the history ledger.
   std::vector<std::string> headlines;
 };
@@ -137,26 +135,40 @@ std::map<std::string, double> FlattenMetrics(
 
 // --- the diff itself -----------------------------------------------------
 
+// The gate's verdict; the values are phoenix_benchdiff's exit codes.
+enum class Gate {
+  kPass = 0,        // every value identical, every SLO budget holds
+  kFail = 1,        // a regression, change, removal or SLO violation
+  kRebaseline = 3,  // only improvements and new items: re-record baselines
+};
+
+const char* GateName(Gate gate);
+
 struct BenchDiff {
   std::vector<BenchDiffEntry> benches;  // sorted by bench name
   std::vector<BudgetOutcome> slo;       // budget order; empty without config
-  // Metric-level tallies (metrics of new/removed variants and benches count
-  // under added/removed).
+  // Metric-level tallies. Metrics of new/removed variants and benches count
+  // under added/removed; a one-sided variant or bench without metrics
+  // counts as one item itself.
   uint64_t improvements = 0;
   uint64_t regressions = 0;
   uint64_t neutral = 0;
+  uint64_t changed = 0;
   uint64_t added = 0;
   uint64_t removed = 0;
   uint64_t slo_checked = 0;
   uint64_t slo_violations = 0;  // violated or required metric missing
 
-  // The CI gate: any out-of-band regression or SLO violation.
-  bool GateFails() const { return regressions > 0 || slo_violations > 0; }
+  Gate gate() const {
+    if (regressions > 0 || changed > 0 || removed > 0 || slo_violations > 0) {
+      return Gate::kFail;
+    }
+    return improvements > 0 || added > 0 ? Gate::kRebaseline : Gate::kPass;
+  }
 };
 
 BenchDiff DiffBenchReports(const std::vector<ParsedReport>& baseline,
-                           const std::vector<ParsedReport>& candidate,
-                           const DiffOptions& options);
+                           const std::vector<ParsedReport>& candidate);
 
 // Evaluates `config` budgets against `candidate` and fills diff->slo /
 // slo_checked / slo_violations. A budget whose metric is absent from the

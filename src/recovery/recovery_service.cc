@@ -150,11 +150,9 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
 
   const int attempts_per_rung =
       std::max(1, opts.recovery_supervisor_attempts_per_rung);
-  RetryBackoff backoff(opts.recovery_supervisor_backoff_initial_ms,
-                       opts.recovery_supervisor_backoff_multiplier,
-                       opts.recovery_supervisor_backoff_max_ms,
-                       opts.recovery_supervisor_backoff_jitter,
-                       opts.recovery_supervisor_backoff_budget_ms);
+  // No time bound: the attempt count alone terminates the ladder, so the
+  // schedule never runs out.
+  RetryBackoff backoff(/*budget_ms=*/0.0);
 
   // Recovery only reads the stable log, so it is idempotent: if the process
   // is killed again mid-recovery (inject_failures_during_recovery), the
@@ -163,8 +161,7 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
   // draw, so pinned benchmarks cannot be perturbed by the ladder.
   Status status = Status::Crashed("not attempted");
   uint64_t attempt = 0;
-  bool budget_exhausted = false;
-  for (int rung = 0; rung < kNumRungs && !budget_exhausted; ++rung) {
+  for (int rung = 0; rung < kNumRungs; ++rung) {
     sim->metrics()
         .GetGauge("phoenix.recovery.supervisor.rung", labels)
         .Set(rung);
@@ -203,12 +200,7 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
                              obs::Arg("rung", static_cast<uint64_t>(rung))});
       if (!status.IsCrashed()) break;  // structural failure: escalate now
       if (a + 1 < attempts_per_rung) {
-        double delay = backoff.NextDelayMs(sim->retry_rng());
-        if (delay < 0) {
-          budget_exhausted = true;
-          break;
-        }
-        sim->clock().AdvanceMs(delay);
+        sim->clock().AdvanceMs(backoff.NextDelayMs(sim->retry_rng()));
       }
     }
   }
@@ -217,8 +209,7 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
       .GetCounter("phoenix.recovery.supervisor.gave_up", labels)
       .Increment();
   sim->tracer().Instant("recovery", "supervisor_gave_up", label,
-                        {obs::Arg("attempts", attempt),
-                         obs::Arg("budget_exhausted", budget_exhausted)});
+                        {obs::Arg("attempts", attempt)});
   return Status::Unavailable(
       StrCat("recovery supervisor gave up on ", label, " after ", attempt,
              " attempt(s): ", status.ToString()));

@@ -496,8 +496,8 @@ Result<ReplyMessage> Context::SendWithRetry(CallMessage msg) {
   Simulation* sim = proc->simulation();
   const RuntimeOptions& opts = sim->options();
 
-  RetryBackoff backoff(opts);
-  for (int attempt = 0; attempt <= opts.max_call_retries; ++attempt) {
+  RetryBackoff backoff(opts.call_retry_budget_ms);
+  for (int attempt = 0; attempt <= kMaxCallRetries; ++attempt) {
     // Every attempt may externalize state: once the message leaves this
     // process, the bytes forced so far are observable by the outside world
     // and a torn tail may no longer eat them.

@@ -243,8 +243,7 @@ void Process::Start() {
       std::max<uint32_t>(sim->options().wal_shards, 1), 64);
   log_ = std::make_unique<LogManager>(log_name(), &sim->storage(),
                                       &machine_->disk(), &sim->clock(),
-                                      &sim->costs(), shards,
-                                      sim->options().wal_shard_seed);
+                                      &sim->costs(), shards);
   // The registry-backed log series survive this restart (the LogManager's
   // own per-instance stats do not).
   log_->BindObs(&sim->metrics(), &sim->tracer(),

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_service.h"
 #include "tests/test_components.h"
@@ -76,11 +77,11 @@ Topology Deploy(Simulation& sim, int sessions) {
   ExternalClient admin(&sim, "client");
   for (int s = 0; s < sessions; ++s) {
     auto counter = admin.CreateComponent(*topo.server, "Counter",
-                                         "counter" + std::to_string(s),
+                                         StrCat("counter", s),
                                          ComponentKind::kPersistent, {});
     EXPECT_TRUE(counter.ok());
     auto chain = admin.CreateComponent(*topo.client, "Chain",
-                                       "chain" + std::to_string(s),
+                                       StrCat("chain", s),
                                        ComponentKind::kPersistent,
                                        MakeArgs(*counter, "Add"));
     EXPECT_TRUE(chain.ok());
@@ -334,7 +335,7 @@ struct DirectRig {
     RegisterTestComponents(sim.factories());
     for (int i = 0; i < kDirectCounters; ++i) {
       auto uri = client.CreateComponent(*server, "Counter",
-                                        "c" + std::to_string(i),
+                                        StrCat("c", i),
                                         ComponentKind::kPersistent, {});
       EXPECT_TRUE(uri.ok());
       counters.push_back(*uri);

@@ -1,14 +1,16 @@
-// benchdiff: direction-aware cross-run classification, tolerance bands,
-// alignment of new/removed metrics and variants, SLO budgets, the history
-// ledger, and byte-determinism of the phoenix.benchdiff.v1 report.
+// benchdiff: direction-aware exact cross-run classification, the gate's
+// exit classes, alignment of new/removed metrics and variants, SLO budgets,
+// the history ledger, byte-determinism of the phoenix.benchdiff.v1 report,
+// and the gate over every value of the committed bench/baselines/.
 
 #include "obs/benchdiff.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
-#include <fstream>
+#include <limits>
 
 #include "obs/bench_reporter.h"
 
@@ -40,48 +42,43 @@ const MetricDelta* FindDelta(const BenchDiff& diff, const std::string& bench,
 }
 
 TEST(ClassifyDeltaTest, DirectionDecidesImprovementVsRegression) {
-  ToleranceBand exact;
   // Lower-is-better (recovery_ms-like): shrinking is the win.
-  EXPECT_EQ(ClassifyDelta(100, 90, MetricDirection::kLowerIsBetter, exact),
+  EXPECT_EQ(ClassifyDelta(100, 90, MetricDirection::kLowerIsBetter),
             DeltaClass::kImprovement);
-  EXPECT_EQ(ClassifyDelta(100, 110, MetricDirection::kLowerIsBetter, exact),
+  EXPECT_EQ(ClassifyDelta(100, 110, MetricDirection::kLowerIsBetter),
             DeltaClass::kRegression);
   // Higher-is-better (speedup-like): the same deltas flip class.
-  EXPECT_EQ(ClassifyDelta(100, 90, MetricDirection::kHigherIsBetter, exact),
+  EXPECT_EQ(ClassifyDelta(100, 90, MetricDirection::kHigherIsBetter),
             DeltaClass::kRegression);
-  EXPECT_EQ(ClassifyDelta(100, 110, MetricDirection::kHigherIsBetter, exact),
+  EXPECT_EQ(ClassifyDelta(100, 110, MetricDirection::kHigherIsBetter),
             DeltaClass::kImprovement);
-  // Informational never classifies.
-  EXPECT_EQ(ClassifyDelta(100, 1e9, MetricDirection::kInformational, exact),
+  // Informational has no better or worse, but a difference is still one.
+  EXPECT_EQ(ClassifyDelta(100, 1e9, MetricDirection::kInformational),
+            DeltaClass::kChanged);
+  EXPECT_EQ(ClassifyDelta(100, 90, MetricDirection::kInformational),
+            DeltaClass::kChanged);
+  // Equal values are neutral in every direction.
+  EXPECT_EQ(ClassifyDelta(100, 100, MetricDirection::kLowerIsBetter),
             DeltaClass::kNeutral);
-  // Equal values are neutral even with a zero-width band.
-  EXPECT_EQ(ClassifyDelta(100, 100, MetricDirection::kLowerIsBetter, exact),
+  EXPECT_EQ(ClassifyDelta(100, 100, MetricDirection::kInformational),
             DeltaClass::kNeutral);
 }
 
-TEST(ClassifyDeltaTest, ToleranceBandEdges) {
-  // Relative band: 5% of |baseline| = 5. Exactly at the edge is neutral,
-  // one ulp-ish beyond classifies.
-  ToleranceBand rel{.abs = 0, .rel = 0.05};
-  EXPECT_EQ(ClassifyDelta(100, 105, MetricDirection::kLowerIsBetter, rel),
-            DeltaClass::kNeutral);
-  EXPECT_EQ(ClassifyDelta(100, 105.001, MetricDirection::kLowerIsBetter, rel),
+TEST(ClassifyDeltaTest, AnyDifferenceClassifies) {
+  // The comparison is exact: one ulp either way is a difference.
+  const double up = std::nextafter(100.0, 200.0);
+  const double down = std::nextafter(100.0, 0.0);
+  EXPECT_EQ(ClassifyDelta(100, up, MetricDirection::kLowerIsBetter),
             DeltaClass::kRegression);
-  EXPECT_EQ(ClassifyDelta(100, 95, MetricDirection::kLowerIsBetter, rel),
-            DeltaClass::kNeutral);
-  EXPECT_EQ(ClassifyDelta(100, 94.999, MetricDirection::kLowerIsBetter, rel),
+  EXPECT_EQ(ClassifyDelta(100, down, MetricDirection::kLowerIsBetter),
             DeltaClass::kImprovement);
-  // Absolute band wins when wider than the relative one.
-  ToleranceBand abs{.abs = 10, .rel = 0.01};
-  EXPECT_EQ(ClassifyDelta(100, 110, MetricDirection::kLowerIsBetter, abs),
-            DeltaClass::kNeutral);
-  EXPECT_EQ(ClassifyDelta(100, 110.5, MetricDirection::kLowerIsBetter, abs),
+  EXPECT_EQ(ClassifyDelta(100, up, MetricDirection::kInformational),
+            DeltaClass::kChanged);
+  // Around zero and below it, too.
+  EXPECT_EQ(ClassifyDelta(0, std::nextafter(0.0, 1.0),
+                          MetricDirection::kLowerIsBetter),
             DeltaClass::kRegression);
-  // Relative band around a negative baseline uses |baseline|.
-  EXPECT_EQ(ClassifyDelta(-100, -95, MetricDirection::kLowerIsBetter, rel),
-            DeltaClass::kNeutral);
-  // Zero baseline: relative band collapses, any delta classifies.
-  EXPECT_EQ(ClassifyDelta(0, 0.001, MetricDirection::kLowerIsBetter, rel),
+  EXPECT_EQ(ClassifyDelta(-100, -95, MetricDirection::kLowerIsBetter),
             DeltaClass::kRegression);
 }
 
@@ -93,17 +90,44 @@ TEST(BenchDiffTest, ClassifiesByMetaDirection) {
                            {"speedup_vs_sequential", 1.2},
                            {"sessions", 16.0}}};
   BenchDiff diff = DiffBenchReports({MakeReport("t7", {base})},
-                                    {MakeReport("t7", {cand})}, DiffOptions{});
+                                    {MakeReport("t7", {cand})});
   EXPECT_EQ(FindDelta(diff, "t7", "v", "recovery_ms")->cls,
             DeltaClass::kImprovement);
   EXPECT_EQ(FindDelta(diff, "t7", "v", "speedup_vs_sequential")->cls,
             DeltaClass::kRegression);
-  // Workload descriptor: doubling the session count is not a regression.
-  EXPECT_EQ(FindDelta(diff, "t7", "v", "sessions")->cls, DeltaClass::kNeutral);
+  // Workload descriptor: doubling the session count is neither better nor
+  // worse, but it is a different workload than the baseline measured.
+  EXPECT_EQ(FindDelta(diff, "t7", "v", "sessions")->cls, DeltaClass::kChanged);
   EXPECT_EQ(diff.improvements, 1u);
   EXPECT_EQ(diff.regressions, 1u);
-  EXPECT_EQ(diff.neutral, 1u);
-  EXPECT_TRUE(diff.GateFails());
+  EXPECT_EQ(diff.changed, 1u);
+  EXPECT_EQ(diff.neutral, 0u);
+  EXPECT_EQ(diff.gate(), Gate::kFail);
+}
+
+TEST(BenchDiffTest, GateExitClasses) {
+  ParsedReport base = MakeReport(
+      "b", {{"v", {{"recovery_ms", 100.0}, {"sessions", 8.0}}}});
+  auto with = [&](double recovery_ms, double sessions) {
+    return MakeReport("b", {{"v", {{"recovery_ms", recovery_ms},
+                                   {"sessions", sessions}}}});
+  };
+  EXPECT_EQ(DiffBenchReports({base}, {base}).gate(), Gate::kPass);
+  EXPECT_EQ(DiffBenchReports({base}, {with(90, 8)}).gate(), Gate::kRebaseline);
+  EXPECT_EQ(DiffBenchReports({base}, {with(110, 8)}).gate(), Gate::kFail);
+  EXPECT_EQ(DiffBenchReports({base}, {with(100, 9)}).gate(), Gate::kFail);
+  // An improvement does not mask a change elsewhere.
+  EXPECT_EQ(DiffBenchReports({base}, {with(90, 9)}).gate(), Gate::kFail);
+  // A violated SLO fails even an identical run.
+  BenchDiff identical = DiffBenchReports({base}, {base});
+  SloConfig config;
+  config.budgets.push_back(Budget{"b/v.recovery_ms", 50});
+  CheckSlo(config, {base}, &identical);
+  EXPECT_EQ(identical.gate(), Gate::kFail);
+  // The enum values are the tool's exit codes.
+  EXPECT_EQ(static_cast<int>(Gate::kPass), 0);
+  EXPECT_EQ(static_cast<int>(Gate::kFail), 1);
+  EXPECT_EQ(static_cast<int>(Gate::kRebaseline), 3);
 }
 
 TEST(BenchDiffTest, ReportMetaOverridesBuiltInTable) {
@@ -113,7 +137,7 @@ TEST(BenchDiffTest, ReportMetaOverridesBuiltInTable) {
   ParsedReport cand = MakeReport("b", {{"v", {{"recovery_ms", 200.0}}}});
   cand.meta["recovery_ms"] =
       MetricMeta{"ms", MetricDirection::kHigherIsBetter};
-  BenchDiff diff = DiffBenchReports({base}, {cand}, DiffOptions{});
+  BenchDiff diff = DiffBenchReports({base}, {cand});
   EXPECT_EQ(FindDelta(diff, "b", "v", "recovery_ms")->cls,
             DeltaClass::kImprovement);
 }
@@ -126,8 +150,7 @@ TEST(BenchDiffTest, NewAndRemovedMetricsVariantsBenches) {
       "b", {{"kept", {{"forces", 10.0}, {"fresh_metric", 2.0}}},
             {"added", {{"forces", 7.0}}}});
   ParsedReport cand_only = MakeReport("new_bench", {{"v", {{"runs", 3.0}}}});
-  BenchDiff diff =
-      DiffBenchReports({base}, {cand, cand_only}, DiffOptions{});
+  BenchDiff diff = DiffBenchReports({base}, {cand, cand_only});
 
   EXPECT_EQ(FindDelta(diff, "b", "kept", "old_metric")->cls,
             DeltaClass::kRemoved);
@@ -154,10 +177,21 @@ TEST(BenchDiffTest, NewAndRemovedMetricsVariantsBenches) {
   EXPECT_EQ(diff.benches[1].bench, "new_bench");
   EXPECT_EQ(diff.benches[1].cls, DeltaClass::kNew);
   // new: fresh_metric + added/forces + new_bench/v/runs; removed:
-  // old_metric + dropped/forces. Structure changes never fail the gate.
+  // old_metric + dropped/forces. Anything removed fails the gate.
   EXPECT_EQ(diff.added, 3u);
   EXPECT_EQ(diff.removed, 2u);
-  EXPECT_FALSE(diff.GateFails());
+  EXPECT_EQ(diff.gate(), Gate::kFail);
+  // Additions alone only ask for a re-baseline.
+  EXPECT_EQ(DiffBenchReports({base}, {base, cand_only}).gate(),
+            Gate::kRebaseline);
+  // A removed bench fails, and so does a removed empty variant, which has
+  // no metric to carry the removal.
+  EXPECT_EQ(DiffBenchReports({base, cand_only}, {base}).gate(), Gate::kFail);
+  ParsedReport with_empty = base;
+  with_empty.variants.push_back({"empty", {}});
+  BenchDiff dropped_empty = DiffBenchReports({with_empty}, {base});
+  EXPECT_EQ(dropped_empty.removed, 1u);
+  EXPECT_EQ(dropped_empty.gate(), Gate::kFail);
 }
 
 TEST(BenchDiffTest, MissingBaselineDirIsAnError) {
@@ -196,10 +230,10 @@ TEST(BenchDiffTest, LoadsRealReportsWrittenByBenchReporter) {
   EXPECT_EQ((*cand)[0].meta.at("recovery_ms").direction,
             MetricDirection::kLowerIsBetter);
 
-  BenchDiff diff = DiffBenchReports(*base, *cand, DiffOptions{});
+  BenchDiff diff = DiffBenchReports(*base, *cand);
   EXPECT_EQ(diff.improvements, 1u);
   EXPECT_EQ(diff.regressions, 0u);
-  EXPECT_FALSE(diff.GateFails());
+  EXPECT_EQ(diff.gate(), Gate::kRebaseline);
 }
 
 TEST(BenchDiffTest, SloBudgetsCheckAndMissingMetricViolates) {
@@ -208,7 +242,7 @@ TEST(BenchDiffTest, SloBudgetsCheckAndMissingMetricViolates) {
   config.budgets.push_back(Budget{"t7/pairs_8.recovery_ms", 2000});
   config.budgets.push_back(Budget{"t7/pairs_8.recovery_ms", 1500});
   config.budgets.push_back(Budget{"t7/gone.recovery_ms", 9000});
-  BenchDiff diff = DiffBenchReports({cand}, {cand}, DiffOptions{});
+  BenchDiff diff = DiffBenchReports({cand}, {cand});
   CheckSlo(config, {cand}, &diff);
   EXPECT_EQ(diff.slo_checked, 3u);
   EXPECT_EQ(diff.slo_violations, 2u);  // over budget + missing metric
@@ -216,7 +250,7 @@ TEST(BenchDiffTest, SloBudgetsCheckAndMissingMetricViolates) {
   EXPECT_FALSE(diff.slo[0].violated);
   EXPECT_TRUE(diff.slo[1].violated);
   EXPECT_FALSE(diff.slo[2].present);
-  EXPECT_TRUE(diff.GateFails());
+  EXPECT_EQ(diff.gate(), Gate::kFail);
 }
 
 TEST(BenchDiffTest, SloConfigParses) {
@@ -226,7 +260,6 @@ TEST(BenchDiffTest, SloConfigParses) {
       {"bench": "t7", "variant": "pairs_8", "metric": "recovery_ms",
        "max": 2000}
     ],
-    "tolerances": {"ms_per_call": {"rel_pct": 0.5, "abs": 0.001}},
     "headlines": [
       {"bench": "t7", "variant": "pairs_8", "metric": "recovery_ms"}
     ]
@@ -235,8 +268,6 @@ TEST(BenchDiffTest, SloConfigParses) {
   ASSERT_EQ(config->budgets.size(), 1u);
   EXPECT_EQ(config->budgets[0].key, "t7/pairs_8.recovery_ms");
   EXPECT_DOUBLE_EQ(config->budgets[0].max, 2000);
-  EXPECT_DOUBLE_EQ(config->tolerances.at("ms_per_call").rel, 0.005);
-  EXPECT_DOUBLE_EQ(config->tolerances.at("ms_per_call").abs, 0.001);
   ASSERT_EQ(config->headlines.size(), 1u);
   EXPECT_EQ(config->headlines[0], "t7/pairs_8.recovery_ms");
 }
@@ -264,7 +295,7 @@ TEST(BenchDiffTest, JsonAndMarkdownAreByteDeterministic) {
   config.budgets.push_back(Budget{"b/v.recovery_ms", 2000});
 
   auto run = [&] {
-    BenchDiff diff = DiffBenchReports({base}, {cand}, DiffOptions{});
+    BenchDiff diff = DiffBenchReports({base}, {cand});
     CheckSlo(config, {cand}, &diff);
     return BenchDiffToJson(diff, "base", "cand") + "\x1f" +
            BenchDiffToMarkdown(diff, "base", "cand");
@@ -302,6 +333,122 @@ TEST(BenchDiffTest, HistoryAppendAndIdempotentReplace) {
   EXPECT_NE(third->find("\"label\": \"pr10\""), std::string::npos);
   EXPECT_NE(third->find("\"t7/pairs_8.recovery_ms\": 1500"),
             std::string::npos);
+}
+
+// --- the gate over the committed baselines --------------------------------
+
+std::vector<ParsedReport> LoadBaselines() {
+  auto reports =
+      LoadBenchReportDir(std::string(PHOENIX_SOURCE_DIR) + "/bench/baselines");
+  EXPECT_TRUE(reports.ok()) << reports.status().ToString();
+  return reports.ok() ? *std::move(reports) : std::vector<ParsedReport>{};
+}
+
+ParsedVariant* FindVariant(std::vector<ParsedReport>& reports,
+                           const std::string& bench,
+                           const std::string& variant) {
+  for (ParsedReport& r : reports) {
+    if (r.bench != bench) continue;
+    for (ParsedVariant& v : r.variants) {
+      if (v.name == variant) return &v;
+    }
+  }
+  return nullptr;
+}
+
+TEST(BenchLedgerTest, EveryBaselineValueNudgedEitherWayTripsTheGate) {
+  const std::vector<ParsedReport> base = LoadBaselines();
+  ASSERT_FALSE(base.empty());
+  ASSERT_EQ(DiffBenchReports(base, base).gate(), Gate::kPass);
+  std::vector<ParsedReport> cand = base;
+  size_t perturbed = 0;
+  for (ParsedReport& report : cand) {
+    for (ParsedVariant& variant : report.variants) {
+      for (auto& [metric, value] : variant.metrics) {
+        const double original = value;
+        const std::string key =
+            report.bench + "/" + variant.name + "." + metric;
+        for (double toward : {std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+          value = std::nextafter(original, toward);
+          BenchDiff diff = DiffBenchReports(base, cand);
+          const MetricDelta* d =
+              FindDelta(diff, report.bench, variant.name, metric);
+          ASSERT_NE(d, nullptr) << key;
+          bool lower = toward < 0;
+          DeltaClass want =
+              d->meta.direction == MetricDirection::kInformational
+                  ? DeltaClass::kChanged
+              : (d->meta.direction == MetricDirection::kLowerIsBetter) ==
+                      lower
+                  ? DeltaClass::kImprovement
+                  : DeltaClass::kRegression;
+          EXPECT_EQ(d->cls, want) << key;
+          EXPECT_EQ(diff.gate(), want == DeltaClass::kImprovement
+                                     ? Gate::kRebaseline
+                                     : Gate::kFail)
+              << key;
+        }
+        value = original;
+        ++perturbed;
+      }
+    }
+  }
+  EXPECT_EQ(perturbed, FlattenMetrics(base).size());
+}
+
+TEST(BenchLedgerTest, RemovingAnyBaselineVariantFails) {
+  const std::vector<ParsedReport> base = LoadBaselines();
+  ASSERT_FALSE(base.empty());
+  for (size_t r = 0; r < base.size(); ++r) {
+    for (size_t v = 0; v < base[r].variants.size(); ++v) {
+      std::vector<ParsedReport> cand = base;
+      cand[r].variants.erase(cand[r].variants.begin() + v);
+      EXPECT_EQ(DiffBenchReports(base, cand).gate(), Gate::kFail)
+          << base[r].bench << "/" << base[r].variants[v].name;
+    }
+  }
+}
+
+// Three edits the tolerance-band gate passed with exit 0.
+TEST(BenchLedgerTest, EditsThatOnceSlippedThroughNowClassify) {
+  const std::vector<ParsedReport> base = LoadBaselines();
+  ASSERT_FALSE(base.empty());
+
+  // An informational count the empty log cannot have scanned.
+  std::vector<ParsedReport> scanned = base;
+  ParsedVariant* empty_log = FindVariant(scanned, "table7_recovery",
+                                         "empty_log");
+  ASSERT_NE(empty_log, nullptr);
+  ASSERT_EQ(empty_log->metrics.at("records_scanned"), 0);
+  empty_log->metrics["records_scanned"] = 3;
+  BenchDiff diff = DiffBenchReports(base, scanned);
+  EXPECT_EQ(diff.changed, 1u);
+  EXPECT_EQ(diff.gate(), Gate::kFail);
+
+  // A deleted variant that no SLO budget names.
+  std::vector<ParsedReport> dropped = base;
+  for (ParsedReport& r : dropped) {
+    if (r.bench != "figure9_disk_writes") continue;
+    auto& variants = r.variants;
+    auto it = std::find_if(variants.begin(), variants.end(),
+                           [](const ParsedVariant& v) {
+                             return v.name == "delay_36ms";
+                           });
+    ASSERT_NE(it, variants.end());
+    variants.erase(it);
+  }
+  EXPECT_EQ(DiffBenchReports(base, dropped).gate(), Gate::kFail);
+
+  // One force fewer: better, but the baseline would go stale.
+  std::vector<ParsedReport> fewer = base;
+  ParsedVariant* local = FindVariant(
+      fewer, "table4_log_optimizations", "external_persistent_baseline_local");
+  ASSERT_NE(local, nullptr);
+  local->metrics.at("forces") -= 1;
+  diff = DiffBenchReports(base, fewer);
+  EXPECT_EQ(diff.improvements, 1u);
+  EXPECT_EQ(diff.gate(), Gate::kRebaseline);
 }
 
 TEST(BenchReporterMetaTest, MetaBlockDescribesEveryEmittedMetric) {

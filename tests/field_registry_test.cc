@@ -31,7 +31,7 @@ TEST(FieldRegistryTest, SnapshotCapturesValues) {
   f.count = 42;
   f.ratio = 0.5;
   f.label = "hello";
-  f.data.MutableList().push_back(Value(9));
+  f.data.MutableList().emplace_back(9);
   f.peer.uri = "phx://m/1/other";
 
   auto snapshot = reg.Snapshot();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "wal/log_dump.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
@@ -25,7 +26,7 @@ class LogSalvageTest : public ::testing::Test {
       CreationRecord rec;
       rec.context_id = static_cast<uint64_t>(i + 1);
       rec.type_name = "Counter";
-      rec.name = "c" + std::to_string(i);
+      rec.name = StrCat("c", i);
       Encoder enc;
       EncodeLogRecord(LogRecord{rec}, enc);
       lsns.push_back(writer.AppendPayload(enc.buffer()));
@@ -132,11 +133,10 @@ TEST_F(LogSalvageTest, DumpLogPrintsSkipsAndTornOffset) {
 
   std::string dump = DumpLog(View());
   EXPECT_NE(dump.find("unreadable"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("skipped at lsn " + std::to_string(lsns[1])),
+  EXPECT_NE(dump.find(StrCat("skipped at lsn ", lsns[1])),
             std::string::npos)
       << dump;
-  EXPECT_NE(dump.find("torn tail: first bad frame at lsn " +
-                      std::to_string(lsns[4])),
+  EXPECT_NE(dump.find(StrCat("torn tail: first bad frame at lsn ", lsns[4])),
             std::string::npos)
       << dump;
 }

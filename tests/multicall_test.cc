@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "recovery/recovery_service.h"
 #include "tests/test_components.h"
 
@@ -65,7 +66,7 @@ class MultiCallTest : public ::testing::Test {
     ArgList uris;
     for (int i = 0; i < num_targets; ++i) {
       auto uri = admin.CreateComponent(*target_proc_, "Counter",
-                                       "t" + std::to_string(i),
+                                       StrCat("t", i),
                                        ComponentKind::kPersistent, {});
       ASSERT_TRUE(uri.ok());
       targets_.push_back(*uri);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "tests/test_components.h"
 #include "wal/log_manager.h"
 #include "wal/log_reader.h"
@@ -22,10 +23,8 @@ struct PropertyConfig {
 
 std::string ConfigName(const ::testing::TestParamInfo<PropertyConfig>& info) {
   const PropertyConfig& c = info.param;
-  return std::string(c.mode == LoggingMode::kBaseline ? "baseline"
-                                                      : "optimized") +
-         "_seed" + std::to_string(c.seed) + "_ckpt" +
-         std::to_string(c.save_state_every);
+  return StrCat(c.mode == LoggingMode::kBaseline ? "baseline" : "optimized",
+                "_seed", c.seed, "_ckpt", c.save_state_every);
 }
 
 class RandomCrashPropertyTest
@@ -141,7 +140,7 @@ TEST(LogPropertyTest, LsnsMonotoneAndStablePrefixGrows) {
     if (rng.Bernoulli(0.7)) {
       IncomingCallRecord rec;
       rec.context_id = rng.Uniform(5);
-      rec.method = "m" + std::to_string(rng.Uniform(3));
+      rec.method = StrCat("m", rng.Uniform(3));
       for (uint64_t k = 0; k < rng.Uniform(4); ++k) {
         rec.args.emplace_back(static_cast<int64_t>(rng.Next() % 1000));
       }

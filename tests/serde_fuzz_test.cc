@@ -6,6 +6,7 @@
 
 #include "common/crc32c.h"
 #include "common/random.h"
+#include "common/strings.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
 
@@ -86,10 +87,10 @@ TEST_P(ValueFuzzTest, RandomRecordsRoundTripThroughFrames) {
     IncomingCallRecord rec;
     rec.context_id = rng.Uniform(1000);
     rec.call_id = CallId{
-        ClientKey{"m" + std::to_string(rng.Uniform(3)),
+        ClientKey{StrCat("m", rng.Uniform(3)),
                   static_cast<uint32_t>(rng.Uniform(9)), rng.Uniform(50)},
         rng.Next() % 100000};
-    rec.method = "method" + std::to_string(rng.Uniform(10));
+    rec.method = StrCat("method", rng.Uniform(10));
     for (uint64_t k = 0, n = rng.Uniform(6); k < n; ++k) {
       rec.args.push_back(RandomValue(rng, 1));
     }
@@ -120,7 +121,7 @@ TEST(LogCorruptionFuzzTest, BitFlipsNeverPassTheCrc) {
   for (int i = 0; i < 10; ++i) {
     IncomingCallRecord rec;
     rec.context_id = i;
-    rec.method = "m" + std::to_string(i);
+    rec.method = StrCat("m", i);
     Encoder enc;
     EncodeLogRecord(LogRecord(rec), enc);
     frame_starts.push_back(log.size());

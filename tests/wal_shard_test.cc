@@ -12,6 +12,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_service.h"
 #include "tests/test_components.h"
@@ -138,7 +139,7 @@ TEST_F(WalShardTest, MergedScanEqualsSingleLogAppendOrder) {
   LogManager single("m/p2.log", &storage_, &disk_, &clock_, &costs_);
   for (int i = 0; i < 32; ++i) {
     LogRecord rec(Incoming(static_cast<uint64_t>(i % 7),
-                           std::string("m") + std::to_string(i)));
+                           StrCat("m", i)));
     manager_.Append(rec);
     single.Append(rec);
   }
@@ -218,7 +219,7 @@ TEST_F(WalShardTest, OneShardCursorIsAPlainLogReader) {
   LogManager single("m/p2.log", &storage_, &disk_, &clock_, &costs_);
   for (int i = 0; i < 24; ++i) {
     single.Append(LogRecord(Incoming(static_cast<uint64_t>(i % 5),
-                                     std::string("m") + std::to_string(i))));
+                                     StrCat("m", i))));
   }
   single.Force();
 
@@ -258,7 +259,7 @@ TEST_F(WalShardTest, OneShardCursorIsAPlainLogReader) {
 TEST_F(WalShardTest, ShardedCursorYieldsTheMergedScan) {
   for (int i = 0; i < 40; ++i) {
     manager_.Append(LogRecord(Incoming(static_cast<uint64_t>(i % 9),
-                                       std::string("m") + std::to_string(i))));
+                                       StrCat("m", i))));
   }
   manager_.Force();
 
@@ -339,7 +340,7 @@ TEST_F(ShardedRecoveryTest, StateSurvivesCrashViaMergedReplay) {
   std::vector<std::string> uris;
   for (int c = 0; c < 4; ++c) {
     auto uri = client.CreateComponent(*proc_, "Counter",
-                                      "c" + std::to_string(c),
+                                      StrCat("c", c),
                                       ComponentKind::kPersistent, {});
     ASSERT_TRUE(uri.ok());
     uris.push_back(*uri);
@@ -420,7 +421,7 @@ TEST_F(ShardedRecoveryTest, ShardedRecoveryMatchesSingleLogTwin) {
     std::vector<std::string> uris;
     for (int c = 0; c < 3; ++c) {
       auto uri = client.CreateComponent(proc, "Counter",
-                                        "c" + std::to_string(c),
+                                        StrCat("c", c),
                                         ComponentKind::kPersistent, {});
       EXPECT_TRUE(uri.ok());
       uris.push_back(*uri);
@@ -433,7 +434,7 @@ TEST_F(ShardedRecoveryTest, ShardedRecoveryMatchesSingleLogTwin) {
         // Mid-run state records and a process checkpoint, published by the
         // next round's first forced send.
         for (int c = 0; c < 3; ++c) {
-          Context* ctx = proc.FindContextOfComponent("c" + std::to_string(c));
+          Context* ctx = proc.FindContextOfComponent(StrCat("c", c));
           EXPECT_TRUE(proc.checkpoints().SaveContextState(*ctx).ok());
         }
         EXPECT_TRUE(proc.checkpoints().TakeProcessCheckpoint().ok());
@@ -557,7 +558,7 @@ TEST_F(ShardedRecoveryTest, PublishGateReadsMetaShardHorizonOnly) {
   std::vector<std::string> uris;
   for (int c = 0; c < 3; ++c) {
     auto uri = client.CreateComponent(*proc_, "Counter",
-                                      "c" + std::to_string(c),
+                                      StrCat("c", c),
                                       ComponentKind::kPersistent, {});
     ASSERT_TRUE(uri.ok());
     uris.push_back(*uri);
@@ -593,7 +594,7 @@ TEST_F(ShardedRecoveryTest, TornShardSalvagesWithoutTouchingOthers) {
   std::vector<std::string> uris;
   for (int c = 0; c < 4; ++c) {
     auto uri = client.CreateComponent(*proc_, "Counter",
-                                      "c" + std::to_string(c),
+                                      StrCat("c", c),
                                       ComponentKind::kPersistent, {});
     ASSERT_TRUE(uri.ok());
     uris.push_back(*uri);
@@ -639,7 +640,7 @@ TEST_F(ShardedRecoveryTest, TornShardSalvagesWithoutTouchingOthers) {
 
   // Counters on untouched shards kept every committed add.
   for (int c = 1; c < 4; ++c) {
-    Context* other = proc_->FindContextOfComponent("c" + std::to_string(c));
+    Context* other = proc_->FindContextOfComponent(StrCat("c", c));
     ASSERT_NE(other, nullptr);
     if (proc_->log().router().ShardForContext(other->id()) == torn) continue;
     auto got = client.Call(uris[c], "Get", {});

@@ -1,19 +1,25 @@
-// phoenix_benchdiff — cross-run performance sentinel.
+// phoenix_benchdiff — the bench ledger's exact gate.
 //
 // Diffs a candidate tree of phoenix.bench.v1 reports against a committed
 // baseline tree, classifies every metric delta as improvement / regression /
-// neutral / new / removed using the reports' direction metadata, checks the
-// declarative SLO budgets, and (optionally) appends the candidate's headline
-// metrics to the bench history ledger. Prints the markdown report to stdout.
+// changed / neutral / new / removed using the reports' direction metadata,
+// checks the declarative SLO budgets, and (optionally) appends the
+// candidate's headline metrics to the bench history ledger. Prints the
+// markdown report to stdout. The benches are deterministic, so there is no
+// tolerance: any difference from the baseline classifies.
 //
 // Usage:
 //   phoenix_benchdiff --baseline=DIR --candidate=DIR
 //       [--slo=bench/slo.json] [--json=FILE] [--md=FILE]
 //       [--history=bench/history.json --history-label=pr9]
-//       [--tolerance=METRIC=REL_PCT]... [--default-tolerance=REL_PCT]
 //
-// Exit codes: 0 gate passes (improvements are fine), 1 any out-of-band
-// regression or SLO violation, 2 usage / unreadable inputs.
+// Exit codes:
+//   0  every value identical and every SLO budget holds
+//   1  a regression, a changed informational value, a removed metric /
+//      variant / bench, or an SLO violation
+//   2  usage error or unreadable inputs
+//   3  every difference is an improvement or a new item: the baselines must
+//      be re-recorded (copy the candidate reports over bench/baselines/)
 //
 // Example (the CI sentinel):
 //   bench/table7_recovery --out-dir=sentinel_out && ... all benches ...
@@ -21,7 +27,6 @@
 //       --slo=../bench/slo.json --md=benchdiff.md --json=benchdiff.json
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -35,8 +40,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --baseline=DIR --candidate=DIR [--slo=FILE] [--json=FILE]\n"
-      "          [--md=FILE] [--history=FILE --history-label=LABEL]\n"
-      "          [--tolerance=METRIC=REL_PCT] [--default-tolerance=REL_PCT]\n",
+      "          [--md=FILE] [--history=FILE --history-label=LABEL]\n",
       argv0);
   return 2;
 }
@@ -70,7 +74,6 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
 int Main(int argc, char** argv) {
   std::string baseline_dir, candidate_dir, slo_path, json_path, md_path;
   std::string history_path, history_label;
-  obs::DiffOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     std::string value;
@@ -88,13 +91,6 @@ int Main(int argc, char** argv) {
       history_path = value;
     } else if (ParseFlag(arg, "history-label", &value)) {
       history_label = value;
-    } else if (ParseFlag(arg, "default-tolerance", &value)) {
-      options.default_band.rel = std::atof(value.c_str()) / 100.0;
-    } else if (ParseFlag(arg, "tolerance", &value)) {
-      size_t eq = value.find('=');
-      if (eq == std::string::npos) return Usage(argv[0]);
-      options.metric_band[value.substr(0, eq)].rel =
-          std::atof(value.c_str() + eq + 1) / 100.0;
     } else {
       return Usage(argv[0]);
     }
@@ -132,14 +128,9 @@ int Main(int argc, char** argv) {
       return 2;
     }
     slo = *std::move(parsed);
-    for (const auto& [metric, band] : slo.tolerances) {
-      // Config tolerances lose to explicit --tolerance flags.
-      options.metric_band.emplace(metric, band);
-    }
   }
 
-  obs::BenchDiff diff =
-      obs::DiffBenchReports(*baseline, *candidate, options);
+  obs::BenchDiff diff = obs::DiffBenchReports(*baseline, *candidate);
   if (!slo_path.empty()) obs::CheckSlo(slo, *candidate, &diff);
 
   std::string markdown =
@@ -176,7 +167,7 @@ int Main(int argc, char** argv) {
                 slo.headlines.size());
   }
 
-  return diff.GateFails() ? 1 : 0;
+  return static_cast<int>(diff.gate());
 }
 
 }  // namespace
