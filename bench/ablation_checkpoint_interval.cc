@@ -10,6 +10,7 @@
 #include "runtime/simulation.h"
 #include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
+#include "common/macros.h"
 #include "recovery/recovery_service.h"
 
 namespace phoenix::bench {
@@ -44,7 +45,7 @@ IntervalResult Measure(obs::BenchVariant& variant, uint32_t interval,
 
   proc.Kill();
   double r0 = sim.clock().NowMs();
-  ma.recovery_service().EnsureProcessAlive(proc.pid());
+  PHX_CHECK(ma.recovery_service().RecoverFully(proc.pid()).ok());
   out.recovery_ms = sim.clock().NowMs() - r0;
   sim.CaptureBench(variant);
   variant.SetMetric("interval", static_cast<uint64_t>(interval));

@@ -107,8 +107,7 @@ void BM_CrashRecoveryCycle(benchmark::State& state) {
   }
   for (auto _ : state) {
     proc.Kill();
-    benchmark::DoNotOptimize(
-        ma.recovery_service().EnsureProcessAlive(proc.pid()));
+    benchmark::DoNotOptimize(ma.recovery_service().RecoverFully(proc.pid()));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -150,7 +149,7 @@ void WriteDeterministicReport() {
     }
     for (int i = 0; i < 5; ++i) {
       proc.Kill();
-      (void)ma.recovery_service().EnsureProcessAlive(proc.pid());
+      (void)ma.recovery_service().RecoverFully(proc.pid());
     }
     sim.CaptureBench(variant);
     variant.SetMetric(

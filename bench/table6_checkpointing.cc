@@ -218,7 +218,7 @@ uint64_t AsyncRecoveryEquivalenceSweep(obs::BenchVariant& variant, int seeds) {
     }
     sim.RunSessions(std::move(bodies));
     server_proc.Kill();
-    PHX_CHECK(ma.recovery_service().EnsureProcessAlive(1).ok());
+    PHX_CHECK(ma.recovery_service().RecoverFully(1).ok());
     std::vector<int64_t> values;
     ExternalClient probe(&sim, "ma");
     for (const std::string& server : servers) {

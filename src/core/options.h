@@ -115,17 +115,11 @@ struct RuntimeOptions {
   // per-chain touched-shard bitmask width).
   uint32_t wal_shards = 1;
 
-  // Parallel replay (pass 2 of recovery): partition the log into
-  // per-context replay chains, then replay them as overlapping scheduler
-  // sessions bounded by the dependency critical path instead of total log
-  // length (recovery/replay_plan.h). Off by default: the sequential
-  // replayer is the reference semantics and keeps every pinned benchmark
-  // byte-identical. Recovery falls back to sequential replay on salvaged
-  // (ambiguous) logs, when recovery is triggered from inside a running
-  // session chain, or when the log holds fewer than two chains.
+  // No longer select anything: recovery replays every context on demand
+  // (recovery/on_demand_replay.h), with one replayer for every log layout.
+  // Kept only because the repo benchmark's crash_restart workload still
+  // sets them; to be deleted with its next revision.
   bool parallel_replay = false;
-
-  // How many overlapping replay sessions the parallel replayer uses.
   uint32_t parallel_replay_sessions = 8;
 
   // Allow failure-injection hooks to fire while a process is recovering.

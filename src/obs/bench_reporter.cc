@@ -87,23 +87,20 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       {"group_commit_runs", {"count", MetricDirection::kInformational}},
       {"group_batch_mean", {"count", MetricDirection::kInformational}},
       {"group_batch_max", {"count", MetricDirection::kInformational}},
-      // Recovery (Table 7) and the replay planner/engine.
+      // Recovery (Table 7) and the instant-restart replayer.
       {"recovery_ms", {"ms", MetricDirection::kLowerIsBetter}},
+      {"first_reply_ms", {"ms", MetricDirection::kLowerIsBetter}},
+      {"full_recovery_ms", {"ms", MetricDirection::kLowerIsBetter}},
+      {"first_reply_speedup", {"ratio", MetricDirection::kHigherIsBetter}},
       {"recoveries", {"count", MetricDirection::kInformational}},
       {"records_scanned", {"count", MetricDirection::kInformational}},
       {"calls_replayed", {"count", MetricDirection::kInformational}},
+      {"contexts_materialized", {"count", MetricDirection::kInformational}},
       {"replay_chains", {"count", MetricDirection::kInformational}},
       {"replay_edges", {"count", MetricDirection::kInformational}},
-      {"replay_sessions", {"count", MetricDirection::kInformational}},
-      {"replay_fallbacks", {"count", MetricDirection::kLowerIsBetter}},
       {"replay_chains_demoted", {"count", MetricDirection::kLowerIsBetter}},
-      {"salvaged_parallel_replays",
-       {"count", MetricDirection::kHigherIsBetter}},
-      {"speedup_vs_sequential", {"ratio", MetricDirection::kHigherIsBetter}},
-      {"ratio_vs_unsalvaged_parallel",
-       {"ratio", MetricDirection::kLowerIsBetter}},
       // Correctness contracts: 1 means the invariant held.
-      {"state_matches_sequential", {"bool", MetricDirection::kHigherIsBetter}},
+      {"state_matches_drain_all", {"bool", MetricDirection::kHigherIsBetter}},
       {"state_matches_single_log", {"bool", MetricDirection::kHigherIsBetter}},
       {"divergences", {"count", MetricDirection::kLowerIsBetter}},
       {"pinned_divergences", {"count", MetricDirection::kLowerIsBetter}},
@@ -135,7 +132,6 @@ const MetricMeta* DefaultMetricMeta(const std::string& metric) {
       {"max_overlap", {"count", MetricDirection::kInformational}},
       {"wal_shards", {"count", MetricDirection::kInformational}},
       {"concurrent_runs", {"count", MetricDirection::kInformational}},
-      {"parallel_replay_runs", {"count", MetricDirection::kInformational}},
       {"depth1_runs", {"count", MetricDirection::kInformational}},
       {"depth2_runs", {"count", MetricDirection::kInformational}},
       {"depth3_runs", {"count", MetricDirection::kInformational}},

@@ -50,7 +50,7 @@ namespace phoenix::obs {
 inline constexpr char kBenchSchema[] = "phoenix.bench.v1";
 
 // Which way a metric improves: smaller (times, forced writes), larger
-// (speedups, contract booleans like state_matches_sequential), or neither —
+// (speedups, contract booleans like state_matches_drain_all), or neither —
 // workload descriptors and injected-fault counters are "informational" and
 // never classify as a regression.
 enum class MetricDirection {

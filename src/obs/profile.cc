@@ -160,11 +160,10 @@ std::string PhaseBucket(const ProfileNode& node) {
   }
   if (node.category == "checkpoint") return "checkpoint";
   if (node.category == "recovery") {
-    // Replay-phase spans (sequential pass-two, the parallel engine and its
-    // per-chain spans) get their own bucket so recovery time splits into
-    // analysis/redo vs replay work.
-    if (node.name == "replay" || node.name == "parallel_replay" ||
-        node.name == "replay_chain") {
+    // Replay spans (the activator's replay at admission and each context's
+    // on-demand materialization) get their own bucket so recovery time
+    // splits into analysis/plan-scan vs rebuild work.
+    if (node.name == "replay" || node.name == "materialize") {
       return "recovery.replay";
     }
     return "recovery";

@@ -86,7 +86,8 @@ struct ProfileReport {
 // "disk.seek" / "disk.rotational" / "disk.transfer" / "disk.other" (force
 // spans split by their recorded breakdown args), "durability.park",
 // "durability.dispatch", "checkpoint", "recovery", "recovery.replay"
-// (replay-phase spans: pass two, the parallel engine, per-chain spans),
+// (replay spans: the activator's replay at admission and every
+// materialization),
 // "other". Disk force spans return "disk" here; BuildProfile does the
 // arg-driven sub-split.
 std::string PhaseBucket(const ProfileNode& node);

@@ -349,6 +349,13 @@ Status CheckpointManager::RunAsyncSweep() {
       sim->tracer().StartSpan("checkpoint", "async_sweep", label, sim->Current());
   TraceFrameScope trace_frame(sim, span);
 
+  // Instant restart's background drain: one cold context per sweep, the
+  // one holding the lowest GC pin, so the log head can move up again.
+  if (proc.cold_context_count() > 0) {
+    PHX_RETURN_IF_ERROR(proc.DrainOneColdContext());
+    if (!proc.alive()) return Status::Crashed("process died while draining");
+  }
+
   // A save is due only once it pays for itself at recovery (§5.4's costs):
   // restoring a state record costs recovery_restore_state_ms more than
   // creating the context, which buys back recovery_replay_call_ms per call
@@ -364,6 +371,7 @@ Status CheckpointManager::RunAsyncSweep() {
   uint64_t saved = 0;
   uint64_t not_due = 0;
   for (const auto& [context_id, ctx] : proc.contexts()) {
+    if (proc.IsCold(context_id)) continue;  // a shell has nothing to save
     auto dirty = calls_since_save_.find(context_id);
     if (dirty == calls_since_save_.end() || dirty->second == 0) continue;
     if (static_cast<double>(dirty->second) * costs.recovery_replay_call_ms <

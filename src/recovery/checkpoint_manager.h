@@ -59,7 +59,9 @@ class CheckpointManager {
   // Evaluated as a ParkUntil predicate while every chain is quiesced.
   bool AsyncSweepDue(uint32_t interval) const;
 
-  // One background sweep: saves state for every dirty idle context whose
+  // One background sweep: first materializes the cold context holding the
+  // lowest GC pin, if any (instant restart's drain, one per sweep); then
+  // saves state for every dirty idle context whose
   // save pays for itself at recovery — calls since its last save, each
   // costing costs.recovery_replay_call_ms to replay, at least
   // costs.recovery_restore_state_ms, the extra cost of restoring a state

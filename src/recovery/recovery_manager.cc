@@ -6,7 +6,6 @@
 
 #include "common/macros.h"
 #include "common/strings.h"
-#include "recovery/parallel_replay.h"
 #include "runtime/machine.h"
 #include "runtime/process.h"
 #include "runtime/simulation.h"
@@ -70,6 +69,9 @@ Status RecoverContextFailure(Process* process, uint64_t context_id) {
   Context* ctx = proc.FindContext(context_id);
   if (ctx == nullptr) {
     return Status::NotFound(StrCat("no context ", context_id));
+  }
+  if (proc.IsCold(context_id)) {
+    return proc.MaterializeContext(context_id, MaterializeTrigger::kCall);
   }
   uint64_t origin = ctx->recovery_lsn();
   if (origin == kInvalidLsn) {
@@ -185,6 +187,8 @@ Status RecoveryManager::Recover() {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
   sim->clock().AdvanceMs(sim->costs().recovery_init_ms);
+  PhaseTimes admission;
+  admission[RecoveryPhase::kInit] = sim->costs().recovery_init_ms;
 
   std::string label = ProcLabel(&proc);
   obs::LabelSet labels{{"process", label}};
@@ -204,6 +208,12 @@ Status RecoveryManager::Recover() {
         .Increment();
     recover_span.AddArg(obs::Arg("mode", RecoveryModeName(mode_)));
   }
+  // The replayer belongs to this incarnation from the start: a live call
+  // that reaches a shell while the activator's chain replays materializes
+  // it like any other call.
+  auto owned = std::make_unique<OnDemandReplayer>(&proc, label);
+  OnDemandReplayer& lazy = *owned;
+  proc.InstallReplayer(std::move(owned));
 
   // Start point: the published checkpoint, or the whole retained log —
   // after validating the well-known LSN and salvaging storage damage. The
@@ -223,23 +233,17 @@ Status RecoveryManager::Recover() {
     span.AddArg(
         obs::Arg("contexts_found", static_cast<uint64_t>(infos_.size())));
   }
+  admission[RecoveryPhase::kAnalysis] = sim->clock().NowMs() - t0;
 
   // The activator context always recovers by replay from the scan start.
   if (infos_[0].recovery_order == kInvalidLsn) {
     infos_[0].recovery_order = start_order;
   }
 
-  // Redo phase: reinstall saved context states and the rebuilt tables.
-  {
-    obs::Tracer::Span span = sim->tracer().StartSpan(
-        "recovery", "redo", label, recover_span.link());
-    TraceFrameScope frame(sim, span);
-    PHX_RETURN_IF_ERROR(RestoreContextStates());
-    InstallTables();
-    span.AddArg(obs::Arg("contexts_restored_from_state",
-                         stats_.contexts_restored_from_state));
-    span.AddArg(obs::Arg("contexts_created", stats_.contexts_created));
-  }
+  // Shells: every other context is registered cold, and the rebuilt
+  // tables are installed.
+  PHX_RETURN_IF_ERROR(RegisterShells(lazy));
+  InstallTables();
 
   // New components created while recovering (replayed activator calls whose
   // creation records were lost) must reuse the original sequential ids.
@@ -251,42 +255,38 @@ Status RecoveryManager::Recover() {
   }
   proc.set_next_parent_id(max_parent_id + 1);
 
-  // Replay phase: re-execute each context forward from its origin (§4.4's
-  // second pass).
+  // Plan scan: each context's replay chain, as log positions.
+  {
+    double t1 = sim->clock().NowMs();
+    obs::Tracer::Span span = sim->tracer().StartSpan(
+        "recovery", "plan_scan", label, recover_span.link());
+    TraceFrameScope frame(sim, span);
+    ReplayIndex index =
+        mode_ == RecoveryMode::kColdStart ? ColdStartChains() : PlanScan();
+    span.AddArg(obs::Arg("chains", static_cast<uint64_t>(index.chains.size())));
+    span.AddArg(obs::Arg("edges", index.cross_edges));
+    lazy.AttachChains(std::move(index));
+    admission[RecoveryPhase::kPlanScan] = sim->clock().NowMs() - t1;
+  }
+
+  // The activator's own chain replays now; everything else waits.
   {
     obs::Tracer::Span span = sim->tracer().StartSpan(
         "recovery", "replay", label, recover_span.link());
     TraceFrameScope frame(sim, span);
-    if (mode_ == RecoveryMode::kColdStart) {
-      PHX_RETURN_IF_ERROR(ColdStartPassTwo());
-    } else {
-      PHX_RETURN_IF_ERROR(PassTwo());
+    PHX_RETURN_IF_ERROR(lazy.ReplayAdmitted(0, admission));
+    if (!proc.alive() || proc.replayer() != &lazy) {
+      return Status::Crashed("process died during recovery replay");
     }
-    span.AddArg(obs::Arg("calls_replayed", stats_.calls_replayed));
-    span.AddArg(obs::Arg("creations_replayed", stats_.creations_replayed));
+    span.AddArg(obs::Arg("cold_contexts",
+                         static_cast<uint64_t>(lazy.cold_count())));
   }
 
-  double elapsed = sim->clock().NowMs() - t0;
   sim->metrics()
       .GetCounter("phoenix.recovery.records_scanned", labels)
       .Increment(stats_.records_scanned);
-  sim->metrics()
-      .GetCounter("phoenix.recovery.calls_replayed", labels)
-      .Increment(stats_.calls_replayed);
-  sim->metrics()
-      .GetCounter("phoenix.recovery.contexts_restored_from_state", labels)
-      .Increment(stats_.contexts_restored_from_state);
-  sim->metrics()
-      .GetCounter("phoenix.recovery.contexts_created", labels)
-      .Increment(stats_.contexts_created);
-  sim->metrics()
-      .GetCounter("phoenix.recovery.context_recoveries", labels)
-      .Increment(stats_.contexts_restored_from_state +
-                 stats_.contexts_created);
-  sim->metrics()
-      .GetHistogram("phoenix.recovery.duration_ms", labels)
-      .Record(elapsed);
-  recover_span.AddArg(obs::Arg("elapsed_ms", elapsed));
+  lazy.Admit(admission);
+  recover_span.AddArg(obs::Arg("elapsed_ms", admission.total()));
   return Status::OK();
 }
 
@@ -488,7 +488,7 @@ uint64_t RecoveryManager::OrderOf(uint64_t lsn) const {
   return order.ok() ? *order : kInvalidLsn;
 }
 
-Status RecoveryManager::RestoreContextStates() {
+Status RecoveryManager::RegisterShells(OnDemandReplayer& lazy) {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
   std::string label = ProcLabel(&proc);
@@ -497,13 +497,8 @@ Status RecoveryManager::RestoreContextStates() {
     if (context_id == 0) continue;  // activator is rebuilt by Start()
     if (info.recovery_lsn == kInvalidLsn) continue;
 
-    Status status = RestoreOneContext(context_id, info);
-    if (status.ok()) {
-      if (proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
-        return Status::Crashed("crashed during state reinstatement");
-      }
-      continue;
-    }
+    Status status = RegisterShell(lazy, context_id, info);
+    if (status.ok()) continue;
     if (!status.IsCorruption()) return status;
 
     // Salvage: the recovery LSN points at bit-rotted or skipped bytes.
@@ -522,35 +517,30 @@ Status RecoveryManager::RestoreContextStates() {
     info.recovery_lsn = fallback;
     info.recovery_order = OrderOf(fallback);
     info.restored_from_state = false;
-    PHX_RETURN_IF_ERROR(RestoreOneContext(context_id, info));
-    if (proc.MaybeCrash(FailurePoint::kDuringRecoveryRestore)) {
-      return Status::Crashed("crashed during state reinstatement");
-    }
+    PHX_RETURN_IF_ERROR(RegisterShell(lazy, context_id, info));
   }
   return Status::OK();
 }
 
-Status RecoveryManager::RestoreOneContext(uint64_t context_id,
-                                          ContextInfo& info) {
+Status RecoveryManager::RegisterShell(OnDemandReplayer& lazy,
+                                      uint64_t context_id, ContextInfo& info) {
   Process& proc = *process_;
-  Simulation* sim = proc.simulation();
-
   Result<LogRecord> read = proc.log().ReadRecordAtLsn(info.recovery_lsn);
   if (!read.ok()) return std::move(read).status();
-  LogRecord record = std::move(read).value();
+  const LogRecord& record = read.value();
 
+  OnDemandReplayer::Shell shell;
+  shell.origin_lsn = info.recovery_lsn;
+  shell.origin_order = info.recovery_order;
   if (const auto* state = std::get_if<ContextStateRecord>(&record)) {
-    // Object creation + registration, then field restore (§5.4 measures
-    // these as ~80 ms + ~60 ms).
-    sim->clock().AdvanceMs(sim->costs().recovery_create_ms +
-                           sim->costs().recovery_restore_state_ms);
-    Context* ctx = proc.FindContext(context_id);
-    if (ctx == nullptr) ctx = proc.CreateRawContext(context_id);
-    for (const ComponentSnapshot& snap : state->components) {
-      PHX_RETURN_IF_ERROR(ctx->RestoreComponent(snap));
-    }
+    Context* ctx = proc.CreateRawContext(context_id);
     ctx->set_state_record_lsn(info.recovery_lsn);
-    ctx->set_last_outgoing_seq(state->last_outgoing_seq);
+    for (const ComponentSnapshot& snap : state->components) {
+      proc.IndexComponentName(snap.name, context_id);
+    }
+    // The state record's last-call references join the table now, so a
+    // checkpoint bracket taken while the context is cold keeps them (and
+    // GC keeps their reply records).
     for (const LastCallRef& ref : state->last_call_refs) {
       LastCallEntry entry;
       entry.seq = ref.call_id.seq;
@@ -559,27 +549,17 @@ Status RecoveryManager::RestoreOneContext(uint64_t context_id,
       MergeLastCall(rebuilt_last_calls_, ref.call_id.caller, entry);
     }
     info.restored_from_state = true;
-    ++stats_.contexts_restored_from_state;
-    return Status::OK();
-  }
-  if (const auto* creation = std::get_if<CreationRecord>(&record)) {
-    // Materialize a blank instance so references resolve and replayed
-    // activator calls find it; Initialize replays in pass 2.
-    sim->clock().AdvanceMs(sim->costs().recovery_create_ms);
-    Context* ctx = proc.FindContext(context_id);
-    if (ctx == nullptr) ctx = proc.CreateRawContext(context_id);
-    PHX_ASSIGN_OR_RETURN(std::unique_ptr<Component> instance,
-                         sim->factories().Create(creation->type_name));
-    ctx->AddComponent(std::move(instance), creation->type_name,
-                      creation->name, creation->kind, context_id);
-    proc.IndexComponentName(creation->name, context_id);
+  } else if (const auto* creation = std::get_if<CreationRecord>(&record)) {
+    Context* ctx = proc.CreateRawContext(context_id);
     ctx->set_creation_lsn(info.recovery_lsn);
-    ++stats_.contexts_created;
-    return Status::OK();
+    proc.IndexComponentName(creation->name, context_id);
+  } else {
+    return Status::Corruption(
+        StrCat("context ", context_id,
+               " recovery LSN does not hold a state/creation record"));
   }
-  return Status::Corruption(
-      StrCat("context ", context_id,
-             " recovery LSN does not hold a state/creation record"));
+  lazy.AddShell(context_id, std::move(shell));
+  return Status::OK();
 }
 
 uint64_t RecoveryManager::FindFallbackOrigin(uint64_t context_id,
@@ -615,109 +595,59 @@ void RecoveryManager::InstallTables() {
   }
 }
 
-Status RecoveryManager::PassTwo() {
+ReplayIndex RecoveryManager::PlanScan() {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
+  std::string label = ProcLabel(&proc);
+  obs::LabelSet labels{{"process", label}};
 
   // Cross-context comparisons — the scan cut here, the below-origin filter
-  // in the loop — run on record order: a context's records and its origin
+  // in the scan — run on record order: a context's records and its origin
   // live on one shard, but the *minimum* is taken across contexts that may
   // sit on different shards, where composite LSNs do not order by time.
   uint64_t scan_start = kInvalidLsn;
+  ReplayPlanInputs inputs;
+  inputs.machine = proc.machine_name();
+  inputs.process_id = proc.pid();
+  inputs.replay_call_ms = sim->costs().recovery_replay_call_ms;
   for (const auto& [context_id, info] : infos_) {
+    inputs.origins[context_id] = info.recovery_lsn;
+    inputs.origin_orders[context_id] = info.recovery_order;
     if (info.recovery_order != kInvalidLsn) {
       scan_start = std::min(scan_start, info.recovery_order);
     }
   }
-  if (scan_start == kInvalidLsn) return Status::OK();  // nothing to recover
+  if (scan_start == kInvalidLsn) return ReplayIndex{};  // nothing to recover
 
-  if (sim->options().parallel_replay) {
-    Status parallel_result = Status::OK();
-    if (TryParallelPassTwo(scan_start, &parallel_result)) {
-      return parallel_result;
-    }
-    // Fell back: the sequential scan below is the reference semantics.
-  }
-
-  in_pass_two_ = true;
-  // Live calls arriving mid-recovery (a peer's retry) force the target
-  // context's pending replay to finish first.
-  proc.SetPendingFlusher([this](uint64_t context_id) {
-    (void)FlushPending(context_id);
-  });
-
-  Status result = Status::OK();
-  LogCursor cursor = proc.log().Cursor(scan_start);
-  while (auto parsed = cursor.Next()) {
-    ++stats_.records_scanned;
+  ReplayIndex index = BuildReplayIndex(proc.log(), scan_start, inputs);
+  // Charged per record, as pass 1 is.
+  for (uint64_t i = 0; i < index.records_scanned; ++i) {
     sim->clock().AdvanceMs(sim->costs().recovery_scan_record_ms);
-    uint64_t order = parsed->order;
-
-    if (const auto* creation = std::get_if<CreationRecord>(&parsed->record)) {
-      auto it = infos_.find(creation->context_id);
-      uint64_t origin = it != infos_.end() ? it->second.recovery_order
-                                           : kInvalidLsn;
-      if (origin != kInvalidLsn && order < origin) continue;
-      if (origin != kInvalidLsn && order == origin) {
-        PendingReplay unit;
-        unit.is_creation = true;
-        unit.start_lsn = parsed->lsn;
-        unit.order = order;
-        unit.creation = *creation;
-        pending_[creation->context_id] = std::move(unit);
-      }
-      // Creation records newer than the origin (duplicates appended by a
-      // previous recovery's live re-creation) need no replay of their own.
-    } else if (const auto* incoming =
-                   std::get_if<IncomingCallRecord>(&parsed->record)) {
-      auto it = infos_.find(incoming->context_id);
-      if (it == infos_.end()) continue;  // context created after this scan?
-      if (it->second.recovery_order != kInvalidLsn &&
-          order < it->second.recovery_order) {
-        continue;
-      }
-      // The previous buffered unit of this context is complete: replay it.
-      result = FlushPending(incoming->context_id);
-      if (!result.ok()) break;
-      if (!proc.alive()) {
-        result = Status::Crashed("process died during recovery replay");
-        break;
-      }
-      if (proc.MaybeCrash(FailurePoint::kBetweenReplayUnits)) {
-        result = Status::Crashed("crashed between replay units");
-        break;
-      }
-      PendingReplay unit;
-      unit.start_lsn = parsed->lsn;
-      unit.order = order;
-      unit.incoming = *incoming;
-      pending_[incoming->context_id] = std::move(unit);
-    } else if (const auto* reply =
-                   std::get_if<ReplyReceivedRecord>(&parsed->record)) {
-      auto it = pending_.find(reply->context_id);
-      if (it != pending_.end()) {
-        it->second.feed.replies[reply->seq] = *reply;
-      }
-      // No pending unit: the reply belongs to a call already covered by a
-      // state record or flushed early — safely ignored.
-    }
-    // OutgoingCallRecords (baseline message 3) are re-derived by replay;
-    // ReplySentRecords mark completion but replay re-executes uniformly;
-    // state/checkpoint records were handled in pass 1.
   }
-
-  if (result.ok()) {
-    // End of log: replay the remaining buffered calls — the last incoming
-    // call of each context — oldest first.
-    result = FlushAllPendingOldestFirst();
+  stats_.records_scanned += index.records_scanned;
+  sim->metrics()
+      .GetCounter("phoenix.recovery.replay.chains", labels)
+      .Increment(index.chains.size());
+  sim->metrics()
+      .GetCounter("phoenix.recovery.replay.edges", labels)
+      .Increment(index.cross_edges);
+  if (index.demoted_chains > 0) {
+    // Salvage gaps inside these chains' units: their units replay in log
+    // order against each other (the index's serialization edges).
+    sim->metrics()
+        .GetCounter("phoenix.recovery.replay.chains_demoted", labels)
+        .Increment(index.demoted_chains);
+    sim->tracer().Instant(
+        "recovery", "replay_salvage_serialized", label,
+        {obs::Arg("skipped_ranges", index.skipped_ranges),
+         obs::Arg("demoted_chains",
+                  static_cast<uint64_t>(index.demoted_chains)),
+         obs::Arg("serialization_edges", index.serialization_edges)});
   }
-
-  proc.SetPendingFlusher(nullptr);
-  in_pass_two_ = false;
-  return result;
+  return index;
 }
 
-Status RecoveryManager::ColdStartPassTwo() {
+ReplayIndex RecoveryManager::ColdStartChains() {
   Process& proc = *process_;
   Simulation* sim = proc.simulation();
   std::string label = ProcLabel(&proc);
@@ -728,204 +658,27 @@ Status RecoveryManager::ColdStartPassTwo() {
   // Initialize-time outgoing calls go out live with the original ids, and
   // the servers deduplicate). Every message logged after the origins is
   // abandoned — cold start trades lost work for a process that serves.
-  for (auto& [context_id, info] : infos_) {
+  ReplayIndex index;
+  for (const auto& [context_id, info] : infos_) {
     if (context_id == 0) continue;  // activator is rebuilt by Start()
     if (info.recovery_lsn == kInvalidLsn || info.restored_from_state) {
       continue;
     }
-    Context* ctx = proc.FindContext(context_id);
-    if (ctx == nullptr || ctx->parent_initialized()) continue;
-    Result<LogRecord> read = proc.log().ReadRecordAtLsn(info.recovery_lsn);
-    if (!read.ok()) continue;  // leave blank rather than fail the last rung
-    const auto* creation = std::get_if<CreationRecord>(&read.value());
-    if (creation == nullptr) continue;
-    sim->clock().AdvanceMs(sim->costs().recovery_replay_call_ms);
-    ++stats_.creations_replayed;
-    PHX_RETURN_IF_ERROR(ctx->ReplayCreation(creation->ctor_args, {}));
+    IndexedChain& chain = index.chains.emplace_back();
+    chain.context_id = context_id;
+    chain.starts_with_creation = true;
+    chain.unit_lsns.push_back(info.recovery_lsn);
+    chain.reply_ends.push_back(0);
   }
   sim->metrics()
       .GetCounter("phoenix.recovery.cold_starts",
                   obs::LabelSet{{"process", label}})
       .Increment();
-  sim->tracer().Instant("recovery", "cold_start", label,
-                        {obs::Arg("contexts_restored_from_state",
-                                  stats_.contexts_restored_from_state),
-                         obs::Arg("creations_replayed",
-                                  stats_.creations_replayed)});
-  return Status::OK();
-}
-
-Status RecoveryManager::FlushAllPendingOldestFirst() {
-  Process& proc = *process_;
-  Status result = Status::OK();
-  while (result.ok() && !pending_.empty()) {
-    uint64_t best_ctx = 0;
-    uint64_t best_order = kInvalidLsn;
-    for (const auto& [context_id, unit] : pending_) {
-      if (unit.order < best_order) {
-        best_order = unit.order;
-        best_ctx = context_id;
-      }
-    }
-    result = FlushPending(best_ctx);
-    if (!proc.alive()) {
-      result = Status::Crashed("process died during recovery replay");
-    } else if (result.ok() &&
-               proc.MaybeCrash(FailurePoint::kDuringEndOfLogFlush)) {
-      result = Status::Crashed("crashed during end-of-log flush");
-    }
-  }
-  return result;
-}
-
-bool RecoveryManager::TryParallelPassTwo(uint64_t scan_start,
-                                         Status* result) {
-  Process& proc = *process_;
-  Simulation* sim = proc.simulation();
-  std::string label = ProcLabel(&proc);
-  obs::LabelSet labels{{"process", label}};
-
-  auto fall_back = [&](PlanFallback why) {
-    sim->metrics()
-        .GetCounter("phoenix.recovery.replay.fallbacks",
-                    obs::LabelSet{{"process", label},
-                                  {"reason", PlanFallbackName(why)}})
-        .Increment();
-    sim->tracer().Instant("recovery", "replay_fallback", label,
-                          {obs::Arg("reason", PlanFallbackName(why))});
-    return false;
-  };
-
-  // A recovery triggered from inside a running session chain (a retry that
-  // restarted the server) cannot nest a second scheduler.
-  if (sim->session_scheduler() != nullptr) {
-    return fall_back(PlanFallback::kNestedScheduler);
-  }
-
-  ReplayPlanInputs inputs;
-  inputs.machine = proc.machine_name();
-  inputs.process_id = proc.pid();
-  inputs.replay_call_ms = sim->costs().recovery_replay_call_ms;
-  for (const auto& [context_id, info] : infos_) {
-    inputs.origins[context_id] = info.recovery_lsn;
-    inputs.origin_orders[context_id] = info.recovery_order;
-  }
-
-  // Unreadable regions (mid-log skips plus any torn tail, widened to the
-  // shard end) demote exactly the chains whose extents they intersect.
-  ReplayPlan plan = BuildReplayPlan(proc.log(), scan_start, inputs);
-  // The analysis scan is real work whether or not the plan is usable; when
-  // it is, it replaces the sequential pass's own scan entirely.
-  sim->clock().AdvanceMs(static_cast<double>(plan.records_scanned) *
-                         sim->costs().recovery_scan_record_ms);
-  if (!plan.parallel_eligible()) return fall_back(plan.fallback);
-  stats_.records_scanned += plan.records_scanned;
-
-  if (plan.salvaged) {
-    // The log was salvaged but enough chains stayed eligible: parallel
-    // replay proceeds, with the demoted chains serialized in log order by
-    // the plan's extra edges.
-    sim->metrics()
-        .GetCounter("phoenix.recovery.replay.salvaged_parallel", labels)
-        .Increment();
-    sim->metrics()
-        .GetCounter("phoenix.recovery.replay.chains_demoted", labels)
-        .Increment(plan.demoted_chains);
-    sim->tracer().Instant(
-        "recovery", "replay_salvage_parallel", label,
-        {obs::Arg("skipped_ranges", plan.skipped_ranges),
-         obs::Arg("demoted_chains",
-                  static_cast<uint64_t>(plan.demoted_chains)),
-         obs::Arg("serialization_edges", plan.serialization_edges)});
-  }
-
-  uint32_t sessions =
-      std::max<uint32_t>(1, sim->options().parallel_replay_sessions);
-  sim->metrics()
-      .GetCounter("phoenix.recovery.replay.chains", labels)
-      .Increment(plan.chains.size());
-  sim->metrics()
-      .GetCounter("phoenix.recovery.replay.edges", labels)
-      .Increment(plan.cross_edges);
-  sim->metrics()
-      .GetHistogram("phoenix.recovery.replay.critical_path_ms", labels)
-      .Record(plan.critical_path_ms);
-
-  obs::Tracer::Span span = sim->tracer().StartSpan(
-      "recovery", "parallel_replay", label, RecoveryRoot(sim),
-      {obs::Arg("chains", static_cast<uint64_t>(plan.chains.size())),
-       obs::Arg("edges", plan.cross_edges),
-       obs::Arg("critical_path_ms", plan.critical_path_ms)});
-  TraceFrameScope frame(sim, span);
-
-  ParallelReplayEngine engine(&proc, &plan, sessions, span.link(), label);
-  Status status = engine.Run(
-      [this](uint64_t context_id, PendingReplay unit) {
-        return ReplayUnit(context_id, std::move(unit));
-      });
-  sim->metrics()
-      .GetGauge("phoenix.recovery.replay.parallelism", labels)
-      .Set(engine.sessions_used());
-  sim->metrics()
-      .GetHistogram("phoenix.recovery.replay.makespan_ms", labels)
-      .Record(engine.makespan_ms());
-  span.AddArg(obs::Arg("sessions",
-                       static_cast<uint64_t>(engine.sessions_used())));
-  span.AddArg(obs::Arg("makespan_ms", engine.makespan_ms()));
-
-  if (status.ok()) {
-    // Tail: each chain's final unit is exactly the sequential replayer's
-    // end-of-log pending set. Flush oldest first with the demand flusher
-    // installed, so a unit that goes live and calls into a context whose
-    // tail has not replayed yet forces that unit through first.
-    in_pass_two_ = true;
-    proc.SetPendingFlusher([this](uint64_t context_id) {
-      (void)FlushPending(context_id);
-    });
-    for (ReplayChain& chain : plan.chains) {
-      if (chain.units.empty()) continue;
-      pending_[chain.context_id] = std::move(chain.units.back().replay);
-    }
-    status = FlushAllPendingOldestFirst();
-    proc.SetPendingFlusher(nullptr);
-    in_pass_two_ = false;
-  }
-  *result = status;
-  return true;
-}
-
-Status RecoveryManager::FlushPending(uint64_t context_id) {
-  auto it = pending_.find(context_id);
-  if (it == pending_.end()) return Status::OK();
-  PendingReplay unit = std::move(it->second);
-  pending_.erase(it);
-  return ReplayUnit(context_id, std::move(unit));
-}
-
-Status RecoveryManager::ReplayUnit(uint64_t context_id, PendingReplay unit) {
-  Process& proc = *process_;
-  Context* ctx = proc.FindContext(context_id);
-  if (ctx == nullptr) {
-    return Status::Internal(
-        StrCat("pending replay for unknown context ", context_id));
-  }
-
-  if (unit.is_creation) {
-    if (ctx->parent_initialized()) return Status::OK();  // created live
-    ++stats_.creations_replayed;
-    return ctx->ReplayCreation(unit.creation.ctor_args, std::move(unit.feed));
-  }
-
-  ++stats_.calls_replayed;
-  Component* parent = ctx->parent();
-  PHX_CHECK(parent != nullptr);
-  CallMessage msg = MessageFromRecord(unit.incoming, parent->uri());
-  Result<ReplyMessage> reply = ctx->ReplayIncoming(msg, std::move(unit.feed));
-  if (!reply.ok()) return std::move(reply).status();
-  // Condition 5: the reply stays with the recovery manager. The last-call
-  // table was updated inside ReplayIncoming; a retrying client will be
-  // answered from there.
-  return Status::OK();
+  sim->tracer().Instant(
+      "recovery", "cold_start", label,
+      {obs::Arg("creations_to_replay",
+                static_cast<uint64_t>(index.chains.size()))});
+  return index;
 }
 
 }  // namespace phoenix

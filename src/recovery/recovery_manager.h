@@ -5,7 +5,7 @@
 #include <map>
 
 #include "common/result.h"
-#include "recovery/replay.h"
+#include "recovery/on_demand_replay.h"
 #include "recovery/replay_plan.h"
 #include "runtime/last_call_table.h"
 #include "runtime/remote_type_table.h"
@@ -20,7 +20,8 @@ class Process;
 // (Context::ClearMembers). The state record LSN is read from the surviving
 // context table entry, the state (or blank creation) is restored, and the
 // context's records — including the still-buffered unforced tail, which a
-// context failure does not lose — are replayed.
+// context failure does not lose — are replayed. A cold context lost
+// nothing: it is simply materialized.
 Status RecoverContextFailure(Process* process, uint64_t context_id);
 
 // How aggressively a recovery attempt degrades, one value per rung of the
@@ -38,13 +39,15 @@ enum class RecoveryMode : int {
 
 const char* RecoveryModeName(RecoveryMode mode);
 
-// Two-pass crash recovery of a process (§4.4), over one record stream.
+// Crash recovery of a process (§4.4) as an instant restart: analysis, one
+// plan scan, then admission — contexts are rebuilt on demand afterwards
+// (recovery/on_demand_replay.h).
 //
 // Every pass reads the log through LogManager::Cursor, which yields
 // (lsn, order, record) in append order whatever the WAL layout: a single
 // log is a one-shard stream whose order is the LSN itself, a sharded log a
 // lazy k-way merge of its shards by global sequence number. Cross-context
-// decisions (the scan cut, the below-origin filter, end-of-log flush order)
+// decisions (the scan cut, the below-origin filter, the drain order)
 // compare orders; a context's own records share one shard, so comparisons
 // among them may use LSNs.
 //
@@ -55,18 +58,25 @@ const char* RecoveryModeName(RecoveryMode mode);
 // Pass 1 scans from the published checkpoint (well-known-file LSN; the whole
 // log when none) to the end, collecting every context that existed at the
 // crash with its newest state-record/creation LSN, plus the checkpointed
-// global tables. Contexts with state records are then restored field by
-// field.
+// global tables. Each context's origin record is then checked (falling back
+// to an older one when it is unreadable) and the context registered as a
+// cold shell: in the context table and the component-name table, with the
+// last-call references of its state record merged into the last-call table.
 //
-// Pass 2 scans from the minimum recovery order, buffering each context's
-// message records per incoming call and replaying a call once the next
-// incoming record arrives; outgoing calls are answered from the buffered
-// replies and suppressed (Figure 5). The final buffered call of each
-// context replays last and may run into live execution when a logged reply
-// is missing — its outgoing calls then really go out, with the same
-// deterministic IDs, and the servers eliminate duplicates. Replies of
-// replayed calls go to the recovery manager, never to clients
-// (condition 5).
+// The plan scan then reads once from the lowest origin, charging the
+// per-record scan cost, and cuts the message records into per-context
+// replay chains of log positions with cross-chain dependencies
+// (recovery/replay_plan.h, BuildReplayIndex). The activator's chain replays
+// at once; every other context's chain replays when the context
+// materializes. A chain's final unit may run into live execution when a
+// logged reply is missing — its outgoing calls then really go out, with the
+// same deterministic IDs, and the servers eliminate duplicates. Replies of
+// replayed calls go to the recovery manager, never to clients (condition
+// 5).
+//
+// Recover() returns once calls can be admitted. Its sim time, by phase, is
+// phoenix.recovery.phase_ms (init, analysis, plan_scan, replay) and in sum
+// phoenix.recovery.duration_ms.
 class RecoveryManager {
  public:
   explicit RecoveryManager(Process* process,
@@ -77,13 +87,10 @@ class RecoveryManager {
 
   Status Recover();
 
+  // Admission's own work; the replay work of materializations is counted
+  // by the process's OnDemandReplayer (Process::replayer()->stats()).
   struct Stats {
     uint64_t records_scanned = 0;
-    uint64_t calls_replayed = 0;
-    uint64_t creations_replayed = 0;
-    uint64_t contexts_restored_from_state = 0;
-    // Contexts rebuilt from their creation record (replayed from creation).
-    uint64_t contexts_created = 0;
     uint64_t contexts_found = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -114,33 +121,23 @@ class RecoveryManager {
   // Order of the stable record at `lsn`; kInvalidLsn when `lsn` is invalid
   // or its record unreadable.
   uint64_t OrderOf(uint64_t lsn) const;
-  Status RestoreContextStates();
-  // Restores one context from the record at info.recovery_lsn; kCorruption
-  // when the record is unreadable or of the wrong type.
-  Status RestoreOneContext(uint64_t context_id, ContextInfo& info);
+  // Registers every context but the activator as a cold shell of `lazy`.
+  Status RegisterShells(OnDemandReplayer& lazy);
+  // Checks one context's origin record and registers its shell;
+  // kCorruption when the record is unreadable or of the wrong type.
+  Status RegisterShell(OnDemandReplayer& lazy, uint64_t context_id,
+                       ContextInfo& info);
   // Salvage: newest readable replay origin for `context_id` strictly below
   // `bad_lsn` — a state record if one survives, else the creation record;
   // kInvalidLsn when neither is readable.
   uint64_t FindFallbackOrigin(uint64_t context_id, uint64_t bad_lsn);
   void InstallTables();
-  Status PassTwo();
-  // Plan-driven parallel pass 2 (recovery/replay_plan.h), attempted when
-  // RuntimeOptions.parallel_replay is on: builds the chain/edge plan from
-  // `scan_start` (a record order), replays non-final units as overlapping
-  // sessions, then runs the sequential end-of-log flush over each chain's
-  // final unit. Returns true when it ran to a decision (*result holds the
-  // status); false to fall back to the sequential scan (ambiguous salvaged
-  // log, nested scheduler, or fewer than two chains).
-  bool TryParallelPassTwo(uint64_t scan_start, Status* result);
-  // Cold-start replacement for pass 2 (RecoveryMode::kColdStart): replays
-  // only the creation of contexts with no saved state so components
-  // initialize; every logged message after the origins is abandoned.
-  Status ColdStartPassTwo();
-  // End-of-log replay: flushes every pending unit, oldest start LSN first.
-  Status FlushAllPendingOldestFirst();
-  // Replays (and removes) the pending unit of `context_id`, if any.
-  Status FlushPending(uint64_t context_id);
-  Status ReplayUnit(uint64_t context_id, PendingReplay unit);
+  // The plan scan from the lowest origin: every context's replay chain.
+  ReplayIndex PlanScan();
+  // Cold-start chains (RecoveryMode::kColdStart): only the creation of
+  // contexts with no saved state replays, so components initialize; every
+  // logged message after the origins is abandoned.
+  ReplayIndex ColdStartChains();
 
   Process* process_;
   RecoveryMode mode_;
@@ -148,8 +145,6 @@ class RecoveryManager {
   std::map<uint64_t, ContextInfo> infos_;
   std::map<LastCallTable::Key, LastCallEntry> rebuilt_last_calls_;
   std::map<std::string, RemoteTypeInfo> rebuilt_remote_types_;
-  std::map<uint64_t, PendingReplay> pending_;
-  bool in_pass_two_ = false;
 };
 
 }  // namespace phoenix

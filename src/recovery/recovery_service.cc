@@ -185,7 +185,6 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
       RecoveryManager recovery(process, ModeForRung(rung));
       status = recovery.Recover();
       process->set_recovering(false);
-      process->SetPendingFlusher(nullptr);
       if (status.ok() && process->alive()) {
         ++recoveries_performed_;
         PersistTableIfDirty();
@@ -213,6 +212,27 @@ Status RecoveryService::SuperviseRecovery(uint32_t pid, Process* process) {
   return Status::Unavailable(
       StrCat("recovery supervisor gave up on ", label, " after ", attempt,
              " attempt(s): ", status.ToString()));
+}
+
+Status RecoveryService::RecoverFully(uint32_t pid) {
+  Process* process = machine_->GetProcess(pid);
+  if (process == nullptr) {
+    return Status::NotFound(StrCat("unknown process ", pid));
+  }
+  // A crash while draining kills the process; the next admission starts
+  // the drain over. Bounded like the ladder itself.
+  const int restarts = kNumRungs * std::max(
+      1, machine_->simulation()->options().recovery_supervisor_attempts_per_rung);
+  Status drained = Status::OK();
+  for (int i = 0; i < restarts; ++i) {
+    PHX_RETURN_IF_ERROR(EnsureProcessAlive(pid));
+    drained = process->DrainColdContexts();
+    if (drained.ok() && process->alive()) return Status::OK();
+    if (process->alive()) return drained;
+  }
+  return Status::Unavailable(
+      StrCat("process ", pid, " kept crashing while its cold contexts ",
+             "materialized: ", drained.ToString()));
 }
 
 Status RecoveryService::RestartAllDead() {

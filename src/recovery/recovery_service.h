@@ -56,6 +56,13 @@ class RecoveryService {
   // Returns kNotFound for unknown pids.
   Status EnsureProcessAlive(uint32_t pid);
 
+  // EnsureProcessAlive, then materializes every cold context the restart
+  // left (the drain-all order of recovery/on_demand_replay.h): the full
+  // recovery a benchmark times. A crash while draining restarts the
+  // process and drains again, at most as often as the supervisor's ladder
+  // has attempts.
+  Status RecoverFully(uint32_t pid);
+
   // Restarts every dead registered process.
   Status RestartAllDead();
 

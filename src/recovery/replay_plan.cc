@@ -15,8 +15,6 @@ const char* PlanFallbackName(PlanFallback fallback) {
       return "salvaged_log";
     case PlanFallback::kTooFewChains:
       return "too_few_chains";
-    case PlanFallback::kNestedScheduler:
-      return "nested_scheduler";
   }
   return "unknown";
 }
@@ -70,14 +68,103 @@ void ComputeCosts(ReplayPlan& plan, double unit_ms) {
   plan.critical_path_ms = critical;
 }
 
+// The two plan forms differ only in what a chain keeps per unit: decoded
+// records and reverse edges (ReplayChain) or log positions (IndexedChain).
+size_t UnitCount(const ReplayChain& chain) { return chain.units.size(); }
+size_t UnitCount(const IndexedChain& chain) { return chain.size(); }
+
+uint64_t UnitStart(const ReplayChain& chain, size_t u) {
+  return chain.units[u].replay.start_lsn;
+}
+uint64_t UnitStart(const IndexedChain& chain, size_t u) {
+  return chain.unit_lsns[u];
+}
+
+// LSN of the last record attributed to unit u.
+uint64_t UnitExtentEnd(const ReplayChain& chain, size_t u) {
+  return chain.units[u].extent_end_lsn;
+}
+uint64_t UnitExtentEnd(const IndexedChain& chain, size_t u) {
+  uint32_t end = chain.reply_ends[u];
+  return end > chain.replies_begin(u) ? chain.reply_lsns[end - 1]
+                                      : chain.unit_lsns[u];
+}
+
+bool HasEdge(const ReplayChain& chain, size_t u, const UnitRef& source) {
+  const std::vector<UnitRef>& deps = chain.units[u].deps;
+  return std::find(deps.begin(), deps.end(), source) != deps.end();
+}
+bool HasEdge(const IndexedChain& chain, size_t u, const UnitRef& source) {
+  return std::find(chain.deps.begin(), chain.deps.end(),
+                   std::pair<uint32_t, UnitRef>(static_cast<uint32_t>(u),
+                                                source)) != chain.deps.end();
+}
+
+void AppendUnit(ReplayChain& chain, uint64_t lsn, uint64_t order,
+                const CreationRecord& rec) {
+  PlannedUnit& unit = chain.units.emplace_back();
+  unit.replay.is_creation = true;
+  unit.replay.start_lsn = lsn;
+  unit.replay.order = order;
+  unit.replay.creation = rec;
+  unit.extent_end_lsn = lsn;
+}
+void AppendUnit(ReplayChain& chain, uint64_t lsn, uint64_t order,
+                const IncomingCallRecord& rec) {
+  PlannedUnit& unit = chain.units.emplace_back();
+  unit.replay.start_lsn = lsn;
+  unit.replay.order = order;
+  unit.replay.incoming = rec;
+  unit.extent_end_lsn = lsn;
+}
+void AppendUnit(IndexedChain& chain, uint64_t lsn, uint64_t,
+                const CreationRecord&) {
+  // Only the origin creation record opens a unit, and it opens the chain.
+  if (chain.unit_lsns.empty()) chain.starts_with_creation = true;
+  chain.unit_lsns.push_back(lsn);
+  chain.reply_ends.push_back(static_cast<uint32_t>(chain.reply_lsns.size()));
+}
+void AppendUnit(IndexedChain& chain, uint64_t lsn, uint64_t,
+                const IncomingCallRecord&) {
+  chain.unit_lsns.push_back(lsn);
+  chain.reply_ends.push_back(static_cast<uint32_t>(chain.reply_lsns.size()));
+}
+
+// Attaches a reply to the chain's open (last) unit.
+void AddReply(ReplayChain& chain, uint64_t lsn,
+              const ReplyReceivedRecord& rec) {
+  PlannedUnit& unit = chain.units.back();
+  unit.replay.feed.replies[rec.seq] = rec;
+  unit.extent_end_lsn = lsn;
+}
+void AddReply(IndexedChain& chain, uint64_t lsn, const ReplyReceivedRecord&) {
+  chain.reply_lsns.push_back(lsn);
+  chain.reply_ends.back() = static_cast<uint32_t>(chain.reply_lsns.size());
+}
+
+// Adds the edge source -> target (the decoded form also keeps it reversed).
+void AddEdge(ReplayPlan& plan, UnitRef source, UnitRef target) {
+  plan.chains[target.chain].units[target.index].deps.push_back(source);
+  plan.chains[source.chain].units[source.index].dependents.push_back(target);
+}
+void AddEdge(ReplayIndex& index, UnitRef source, UnitRef target) {
+  std::vector<std::pair<uint32_t, UnitRef>>& deps =
+      index.chains[target.chain].deps;
+  std::pair<uint32_t, UnitRef> edge(target.index, source);
+  deps.insert(std::upper_bound(deps.begin(), deps.end(), edge), edge);
+}
+
 // Incremental chain/edge construction, fed one record at a time in append
 // order by whichever adapter below holds the log. `order` is the record's
 // replay order (LogCursor's order: the LSN on a single log, the gsn on a
 // sharded one); below-origin filtering compares it against
 // inputs.origin_orders.
+template <typename Plan>
 class PlanBuilder {
+  using Chain = typename decltype(Plan::chains)::value_type;
+
  public:
-  PlanBuilder(ReplayPlan& plan, const ReplayPlanInputs& inputs)
+  PlanBuilder(Plan& plan, const ReplayPlanInputs& inputs)
       : plan_(plan), inputs_(inputs) {}
 
   void OnRecord(uint64_t lsn, uint64_t order, const LogRecord& record) {
@@ -88,7 +175,10 @@ class PlanBuilder {
                    std::get_if<IncomingCallRecord>(&record)) {
       OnIncoming(lsn, order, *incoming);
     } else if (const auto* reply = std::get_if<ReplyReceivedRecord>(&record)) {
-      OnReply(lsn, *reply);
+      if (std::optional<UnitRef> ref = OpenRef(reply->context_id);
+          ref.has_value()) {
+        AddReply(plan_.chains[ref->chain], lsn, *reply);
+      }
     }
     // Other record types were pass 1's business.
   }
@@ -105,12 +195,7 @@ class PlanBuilder {
     // (re-creations appended by a previous recovery) replay nothing.
     uint64_t origin = OriginOrder(rec.context_id);
     if (origin == kInvalidLsn || order != origin) return;
-    PendingReplay unit;
-    unit.is_creation = true;
-    unit.start_lsn = lsn;
-    unit.order = order;
-    unit.creation = rec;
-    PushUnit(rec.context_id, std::move(unit));
+    AppendUnit(ChainOf(rec.context_id), lsn, order, rec);
   }
 
   void OnIncoming(uint64_t lsn, uint64_t order,
@@ -121,11 +206,8 @@ class PlanBuilder {
     uint64_t origin = OriginOrder(rec.context_id);
     if (origin != kInvalidLsn && order < origin) return;
 
-    PendingReplay unit;
-    unit.start_lsn = lsn;
-    unit.order = order;
-    unit.incoming = rec;
-    UnitRef target = PushUnit(rec.context_id, std::move(unit));
+    AppendUnit(ChainOf(rec.context_id), lsn, order, rec);
+    UnitRef target = *OpenRef(rec.context_id);
 
     // Cross-chain edge: the call was issued by a local caller context
     // whose open unit must replay before this one (it is the unit whose
@@ -138,21 +220,9 @@ class PlanBuilder {
         caller.component_id != rec.context_id) {
       if (std::optional<UnitRef> source = OpenRef(caller.component_id);
           source.has_value() && source->chain != target.chain) {
-        plan_.chains[target.chain].units[target.index].deps.push_back(
-            *source);
-        plan_.chains[source->chain].units[source->index].dependents
-            .push_back(target);
+        AddEdge(plan_, *source, target);
         ++plan_.cross_edges;
       }
-    }
-  }
-
-  void OnReply(uint64_t lsn, const ReplyReceivedRecord& rec) {
-    if (std::optional<UnitRef> ref = OpenRef(rec.context_id);
-        ref.has_value()) {
-      PlannedUnit& unit = plan_.chains[ref->chain].units[ref->index];
-      unit.replay.feed.replies[rec.seq] = rec;
-      unit.extent_end_lsn = lsn;
     }
   }
 
@@ -162,26 +232,20 @@ class PlanBuilder {
   std::optional<UnitRef> OpenRef(uint64_t context_id) const {
     auto it = chain_of_.find(context_id);
     if (it == chain_of_.end()) return std::nullopt;
-    const ReplayChain& chain = plan_.chains[it->second];
-    if (chain.units.empty()) return std::nullopt;
-    return UnitRef{it->second, static_cast<uint32_t>(chain.units.size() - 1)};
+    size_t units = UnitCount(plan_.chains[it->second]);
+    if (units == 0) return std::nullopt;
+    return UnitRef{it->second, static_cast<uint32_t>(units - 1)};
   }
 
-  UnitRef PushUnit(uint64_t context_id, PendingReplay unit) {
+  Chain& ChainOf(uint64_t context_id) {
     auto [it, inserted] =
         chain_of_.try_emplace(context_id, static_cast<uint32_t>(
                                               plan_.chains.size()));
-    if (inserted) {
-      plan_.chains.push_back(ReplayChain{context_id, {}});
-    }
-    ReplayChain& chain = plan_.chains[it->second];
-    uint64_t start_lsn = unit.start_lsn;
-    chain.units.push_back(PlannedUnit{std::move(unit), {}, {}, start_lsn});
-    return UnitRef{it->second,
-                   static_cast<uint32_t>(chain.units.size() - 1)};
+    if (inserted) plan_.chains.emplace_back().context_id = context_id;
+    return plan_.chains[it->second];
   }
 
-  ReplayPlan& plan_;
+  Plan& plan_;
   const ReplayPlanInputs& inputs_;
   std::map<uint64_t, uint32_t> chain_of_;  // context id -> chain index
 };
@@ -190,55 +254,54 @@ class PlanBuilder {
 // its unit extents, then serialize the demoted units against each other
 // in global replay order via extra edges. A torn tail counts as a gap past
 // the last readable record — it can intersect no unit extent (the extent
-// ends at a record the scan parsed), so a torn tail alone demotes nothing
-// and no longer serializes the whole replay. Gap and extent coordinates
-// live in the same space (plain LSNs on one log, composite LSNs sharded —
-// where shard bits make cross-shard intersections provably empty), but the
-// serialization sort keys on the units' replay order.
-void DigestSalvageAndFinalize(ReplayPlan& plan,
-                              const std::vector<SkippedRange>& gaps,
-                              double replay_call_ms) {
+// ends at a record the scan parsed), so a torn tail alone demotes nothing.
+// Gap and extent coordinates live in the same space (plain LSNs on one
+// log, composite LSNs sharded — where shard bits make cross-shard
+// intersections provably empty), but the serialization sort keys on the
+// units' replay order.
+template <typename Plan, typename OrderFn>
+void DigestSalvage(Plan& plan, const std::vector<SkippedRange>& gaps,
+                   const OrderFn& order_of) {
   plan.salvaged = !gaps.empty();
   plan.skipped_ranges = gaps.size();
-  if (plan.salvaged) {
-    for (ReplayChain& chain : plan.chains) {
-      for (const PlannedUnit& unit : chain.units) {
-        for (const SkippedRange& gap : gaps) {
-          if (gap.from_lsn < unit.extent_end_lsn &&
-              gap.to_lsn > unit.replay.start_lsn) {
-            chain.parallel_eligible = false;
-          }
+  if (!plan.salvaged) return;
+  for (auto& chain : plan.chains) {
+    for (size_t u = 0; u < UnitCount(chain); ++u) {
+      for (const SkippedRange& gap : gaps) {
+        if (gap.from_lsn < UnitExtentEnd(chain, u) &&
+            gap.to_lsn > UnitStart(chain, u)) {
+          chain.parallel_eligible = false;
         }
       }
-      if (!chain.parallel_eligible) ++plan.demoted_chains;
     }
-    if (plan.demoted_chains > 0) {
-      std::vector<std::pair<uint64_t, UnitRef>> demoted;
-      for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-        if (plan.chains[c].parallel_eligible) continue;
-        for (uint32_t u = 0; u < plan.chains[c].units.size(); ++u) {
-          demoted.emplace_back(plan.chains[c].units[u].replay.order,
-                               UnitRef{c, u});
-        }
-      }
-      std::sort(demoted.begin(), demoted.end());
-      for (size_t i = 1; i < demoted.size(); ++i) {
-        const UnitRef& source = demoted[i - 1].second;
-        const UnitRef& target = demoted[i].second;
-        if (source.chain == target.chain) continue;  // chain order covers it
-        std::vector<UnitRef>& deps =
-            plan.chains[target.chain].units[target.index].deps;
-        if (std::find(deps.begin(), deps.end(), source) != deps.end()) {
-          continue;
-        }
-        deps.push_back(source);
-        plan.chains[source.chain].units[source.index].dependents.push_back(
-            target);
-        ++plan.serialization_edges;
-      }
+    if (!chain.parallel_eligible) ++plan.demoted_chains;
+  }
+  if (plan.demoted_chains == 0) return;
+  std::vector<std::pair<uint64_t, UnitRef>> demoted;
+  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
+    if (plan.chains[c].parallel_eligible) continue;
+    for (uint32_t u = 0; u < UnitCount(plan.chains[c]); ++u) {
+      demoted.emplace_back(order_of(plan.chains[c], u), UnitRef{c, u});
     }
   }
+  std::sort(demoted.begin(), demoted.end());
+  for (size_t i = 1; i < demoted.size(); ++i) {
+    const UnitRef& source = demoted[i - 1].second;
+    const UnitRef& target = demoted[i].second;
+    if (source.chain == target.chain) continue;  // chain order covers it
+    if (HasEdge(plan.chains[target.chain], target.index, source)) continue;
+    AddEdge(plan, source, target);
+    ++plan.serialization_edges;
+  }
+}
 
+// A decoded unit carries its own replay order.
+uint64_t DecodedOrder(const ReplayChain& chain, uint32_t u) {
+  return chain.units[u].replay.order;
+}
+
+// The decoded plan's verdict and cost estimate.
+void Finalize(ReplayPlan& plan, double replay_call_ms) {
   if (plan.salvaged && plan.eligible_chains() < 2) {
     plan.fallback = PlanFallback::kSalvagedLog;
     return;
@@ -258,11 +321,12 @@ LogCursor PlainCursor(const LogView& log, uint64_t scan_start) {
 
 ReplayPlan PlanFromCursor(LogCursor cursor, const ReplayPlanInputs& inputs) {
   ReplayPlan plan;
-  PlanBuilder builder(plan, inputs);
+  PlanBuilder<ReplayPlan> builder(plan, inputs);
   while (auto parsed = cursor.Next()) {
     builder.OnRecord(parsed->lsn, parsed->order, parsed->record);
   }
-  DigestSalvageAndFinalize(plan, cursor.unreadable(), inputs.replay_call_ms);
+  DigestSalvage(plan, cursor.unreadable(), DecodedOrder);
+  Finalize(plan, inputs.replay_call_ms);
   return plan;
 }
 
@@ -332,6 +396,31 @@ ReplayPlan BuildReplayPlan(const LogManager& log, uint64_t start_order,
   return PlanFromCursor(log.Cursor(start_order), inputs);
 }
 
+ReplayIndex BuildReplayIndex(const LogManager& log, uint64_t start_order,
+                             const ReplayPlanInputs& inputs) {
+  ReplayIndex index;
+  PlanBuilder<ReplayIndex> builder(index, inputs);
+  LogCursor cursor = log.Cursor(start_order);
+  while (auto parsed = cursor.Next()) {
+    builder.OnRecord(parsed->lsn, parsed->order, parsed->record);
+  }
+  // The index keeps no orders; a salvaged log's demoted units read theirs
+  // back from the log.
+  DigestSalvage(index, cursor.unreadable(),
+                [&log](const IndexedChain& chain, uint32_t u) {
+                  Result<uint64_t> order =
+                      log.OrderOfRecordAt(chain.unit_lsns[u]);
+                  return order.ok() ? *order : kInvalidLsn;
+                });
+  for (IndexedChain& chain : index.chains) {
+    chain.unit_lsns.shrink_to_fit();
+    chain.reply_ends.shrink_to_fit();
+    chain.reply_lsns.shrink_to_fit();
+    chain.deps.shrink_to_fit();
+  }
+  return index;
+}
+
 ReplayPlan BuildReplayPlan(const LogView& log, uint64_t scan_start,
                            const ReplayPlanInputs& inputs) {
   ReplayPlanInputs plain = inputs;
@@ -346,13 +435,14 @@ ReplayPlan BuildReplayPlanFromRecords(const std::vector<OrderedRecord>& records,
                                       uint64_t start_order,
                                       const ReplayPlanInputs& inputs) {
   ReplayPlan plan;
-  PlanBuilder builder(plan, inputs);
+  PlanBuilder<ReplayPlan> builder(plan, inputs);
   for (const OrderedRecord& rec : records) {
     if (rec.order >= start_order) {
       builder.OnRecord(rec.lsn, rec.order, rec.record);
     }
   }
-  DigestSalvageAndFinalize(plan, gaps, inputs.replay_call_ms);
+  DigestSalvage(plan, gaps, DecodedOrder);
+  Finalize(plan, inputs.replay_call_ms);
   return plan;
 }
 

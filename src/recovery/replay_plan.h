@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "recovery/replay.h"
@@ -16,18 +17,17 @@ namespace phoenix {
 
 // Log-analysis replay planning: one forward scan of the stable log that
 // partitions the message records into per-context replay *chains* and links
-// them with cross-chain dependency edges, so pass 2 of recovery can execute
-// independent chains as overlapping scheduler sessions instead of walking
-// the whole log serially (cf. dependency-aware parallel redo in Wu et al.
-// and Yao et al.; here the dependency unit is the paper's per-context
-// buffered replay call).
+// them with cross-chain dependency edges (cf. dependency-aware redo in Wu et
+// al. and Yao et al.; here the dependency unit is the paper's per-context
+// buffered replay call). Recovery builds the LSN-only form (ReplayIndex)
+// and replays each chain on demand (recovery/on_demand_replay.h); the
+// decoded form (ReplayPlan) serves analysis tools and tests.
 //
-// Chain model. A chain is one context's replay units in log order — exactly
-// the units the sequential replayer buffers (PendingReplay): the creation
-// call, then one unit per logged incoming call, each with the reply feed of
-// the outgoing calls it made. Units within a chain are totally ordered
-// (context state evolves sequentially); that order is implicit and not
-// represented as edges.
+// Chain model. A chain is one context's replay units in log order: the
+// creation call, then one unit per logged incoming call, each with the
+// reply feed of the outgoing calls it made. Units within a chain are
+// totally ordered (context state evolves sequentially); that order is
+// implicit and not represented as edges.
 //
 // Edge rule. When an incoming-call record of context B names a *local*
 // caller context A (the CallId's ClientKey carries machine / logical pid /
@@ -36,25 +36,20 @@ namespace phoenix {
 // log (the unit whose execution issued the call) to B's new unit. Edges
 // therefore always point from a smaller start-LSN unit to a larger one —
 // the plan is a DAG by construction, and the edge order coincides with the
-// order the sequential replayer flushes those units. Calls from external
-// clients or from remote processes add no edge: their effects reach this
-// log only through the records already in the chain.
+// log order. Calls from external clients or from remote processes add no
+// edge: their effects reach this log only through the records already in
+// the chain.
 //
 // Salvage. When the scan had to salvage-skip unreadable ranges (or the
-// tail is torn), the plan stays parallel per-chain instead of refusing
-// outright: a chain is demoted (parallel_eligible = false) only when a
-// skipped range falls strictly inside one of its units' record extents —
+// tail is torn), a chain is demoted (parallel_eligible = false) only when
+// a skipped range falls strictly inside one of its units' record extents —
 // that unit's reply feed may be missing records, so its replay can go live
-// mid-unit and must not overlap freely with the rest. Demoted units are
-// serialized against each other in global log order by extra dependency
-// edges woven into the plan itself (serialization_edges); clean chains
-// still overlap. Records lost to a gap are equally invisible to the
-// sequential replayer — both engines replay exactly the readable records —
-// so eligibility is about scheduling conservatism, not correctness of
-// membership. The plan refuses parallel execution (fallback != kNone) only
-// when fewer than two eligible chains remain. The recovery manager adds
-// its own runtime condition (recovery triggered from inside a running
-// session chain cannot nest a second scheduler).
+// mid-unit. Demoted units are serialized against each other in global log
+// order by extra dependency edges woven into the plan itself
+// (serialization_edges). Records lost to a gap are invisible to every
+// replayer alike, so demotion is about ordering, not membership. A decoded
+// plan reports fallback != kNone when fewer than two eligible chains
+// remain (nothing left to overlap).
 
 // Position of one unit inside a plan: chain index + index within the chain.
 struct UnitRef {
@@ -90,12 +85,11 @@ struct ReplayChain {
   bool parallel_eligible = true;
 };
 
-// Why a plan (or the recovery manager) refused parallel execution.
+// Why a plan has fewer than two independently replayable chains.
 enum class PlanFallback {
   kNone = 0,
-  kSalvagedLog,      // salvage gaps left fewer than two eligible chains
-  kTooFewChains,     // fewer than two chains: nothing to overlap
-  kNestedScheduler,  // recovery already runs inside a session chain
+  kSalvagedLog,   // salvage gaps left fewer than two eligible chains
+  kTooFewChains,  // fewer than two chains: nothing to overlap
 };
 
 const char* PlanFallbackName(PlanFallback fallback);
@@ -114,7 +108,7 @@ struct ReplayPlan {
   uint64_t serialization_edges = 0;  // extra log-order edges among demoted
   // Modelled replay cost: sum over all units, and the longest
   // dependency-respecting path (chain order + cross edges) — the lower
-  // bound parallel replay is after.
+  // bound any overlapping replay could reach.
   double total_replay_ms = 0.0;
   double critical_path_ms = 0.0;
 
@@ -124,6 +118,46 @@ struct ReplayPlan {
   const PlannedUnit& unit(UnitRef ref) const {
     return chains[ref.chain].units[ref.index];
   }
+};
+
+// One context's replay units reduced to log positions: what recovery keeps
+// per cold context instead of decoded records (recovery/on_demand_replay.h),
+// which re-reads a unit's records by LSN when it replays the unit. Flat
+// per-chain arrays keep it at about 12 bytes per unit plus 8 per reply.
+struct IndexedChain {
+  uint64_t context_id = 0;
+  bool parallel_eligible = true;  // as ReplayChain::parallel_eligible
+  bool starts_with_creation = false;  // unit 0 replays the creation call
+  // Each unit's incoming-call (or creation) record.
+  std::vector<uint64_t> unit_lsns;
+  // Unit u's ReplyReceivedRecords are reply_lsns[reply_ends[u - 1] ..
+  // reply_ends[u]) (from 0 for u = 0), in log order: a later reply to the
+  // same outgoing sequence number replaces an earlier one in the feed.
+  std::vector<uint32_t> reply_ends;
+  std::vector<uint64_t> reply_lsns;
+  // Cross-chain edges (target unit index, source unit), by target unit.
+  std::vector<std::pair<uint32_t, UnitRef>> deps;
+
+  size_t size() const { return unit_lsns.size(); }
+  bool is_creation(size_t unit) const {
+    return unit == 0 && starts_with_creation;
+  }
+  size_t replies_begin(size_t unit) const {
+    return unit == 0 ? 0 : reply_ends[unit - 1];
+  }
+};
+
+// The LSN-only plan: the same chains, edges and salvage accounting as
+// ReplayPlan, without decoded records, orders, dependents or cost
+// estimates.
+struct ReplayIndex {
+  std::vector<IndexedChain> chains;  // ordered by first-unit start LSN
+  uint64_t cross_edges = 0;
+  uint64_t records_scanned = 0;
+  bool salvaged = false;
+  uint64_t skipped_ranges = 0;
+  uint32_t demoted_chains = 0;
+  uint64_t serialization_edges = 0;
 };
 
 // What the planner needs to know about the recovering process.
@@ -159,6 +193,10 @@ struct ReplayPlanInputs {
 // provably disjoint from every extent on shard k != j.
 ReplayPlan BuildReplayPlan(const LogManager& log, uint64_t start_order,
                            const ReplayPlanInputs& inputs);
+
+// The same scan, keeping log positions only: the form recovery builds.
+ReplayIndex BuildReplayIndex(const LogManager& log, uint64_t start_order,
+                             const ReplayPlanInputs& inputs);
 
 // The same planner over one plain log image from `scan_start`, where order
 // == LSN (inputs.origins doubles as origin_orders).

@@ -5,6 +5,7 @@
 #include "common/macros.h"
 #include "common/strings.h"
 #include "recovery/checkpoint_manager.h"
+#include "recovery/on_demand_replay.h"
 #include "recovery/recovery_service.h"
 #include "runtime/machine.h"
 #include "runtime/simulation.h"
@@ -139,7 +140,6 @@ void Process::Kill() {
   if (!alive_) return;
   alive_ = false;
   ++crash_count_;
-  pending_flusher_ = nullptr;
   chain_touched_shards_.clear();
   // Everything volatile dies with the process: unforced log records, the
   // contexts (component states), and the global tables of Table 1.
@@ -153,6 +153,7 @@ void Process::Kill() {
     zombie_contexts_.push_back(std::move(contexts_));
   }
   contexts_.clear();
+  if (replayer_ != nullptr) zombie_replayers_.push_back(std::move(replayer_));
   component_to_context_.clear();
   last_calls_.Clear();
   remote_types_.Clear();
@@ -238,6 +239,7 @@ void Process::Start() {
       sim->current_context() == nullptr) {
     zombie_contexts_.clear();
     zombie_logs_.clear();
+    zombie_replayers_.clear();
   }
   uint32_t shards = std::min<uint32_t>(
       std::max<uint32_t>(sim->options().wal_shards, 1), 64);
@@ -301,9 +303,11 @@ Result<std::string> Process::CreateComponent(const std::string& type_name,
     return Status::InvalidArgument(
         "subordinates are created by their parent via CreateSubordinate");
   }
-  // Idempotent per name: replayed/retried Create calls find the first one.
+  // Idempotent per name: replayed/retried Create calls find the first one
+  // (without materializing it, when it is still cold).
   if (auto it = component_to_context_.find(name);
       it != component_to_context_.end()) {
+    if (IsCold(it->second)) return MakeComponentUri(machine_name(), pid_, name);
     Context* ctx = FindContext(it->second);
     ComponentSlot* slot = ctx->FindSlot(name);
     PHX_CHECK(slot != nullptr);
@@ -344,8 +348,14 @@ Context* Process::FindContext(uint64_t context_id) {
 
 Context* Process::FindContextOfComponent(const std::string& name) {
   auto it = component_to_context_.find(name);
-  return it == component_to_context_.end() ? nullptr
-                                           : FindContext(it->second);
+  if (it == component_to_context_.end()) return nullptr;
+  uint64_t context_id = it->second;
+  if (IsCold(context_id) &&
+      (!MaterializeContext(context_id, MaterializeTrigger::kCall).ok() ||
+       !alive_)) {
+    return nullptr;
+  }
+  return FindContext(context_id);
 }
 
 ComponentSlot* Process::FindComponent(const std::string& name) {
@@ -365,21 +375,45 @@ Context* Process::CreateRawContext(uint64_t context_id) {
   return it->second.get();
 }
 
+void Process::InstallReplayer(std::unique_ptr<OnDemandReplayer> replayer) {
+  if (replayer_ != nullptr) zombie_replayers_.push_back(std::move(replayer_));
+  replayer_ = std::move(replayer);
+}
+
+bool Process::IsCold(uint64_t context_id) const {
+  return replayer_ != nullptr && replayer_->IsCold(context_id);
+}
+
+size_t Process::cold_context_count() const {
+  return replayer_ != nullptr ? replayer_->cold_count() : 0;
+}
+
+Status Process::MaterializeContext(uint64_t context_id,
+                                   MaterializeTrigger trigger) {
+  if (!alive_) return Status::Unavailable("process is down");
+  if (replayer_ == nullptr) return Status::OK();
+  return replayer_->Materialize(context_id, trigger);
+}
+
+Status Process::DrainOneColdContext() {
+  if (!alive_) return Status::Unavailable("process is down");
+  return replayer_ != nullptr ? replayer_->DrainOne() : Status::OK();
+}
+
+Status Process::DrainColdContexts() {
+  if (!alive_) return Status::Unavailable("process is down");
+  return replayer_ != nullptr ? replayer_->DrainAll() : Status::OK();
+}
+
 Result<ReplyMessage> Process::DeliverCall(const CallMessage& msg) {
   if (!alive_) return Status::Unavailable("process is down");
   PHX_ASSIGN_OR_RETURN(ParsedUri target, ParseComponentUri(msg.target_uri));
+  // A context must be recovered to its last send before serving anyone
+  // (condition 1): a cold target materializes here first.
   Context* ctx = FindContextOfComponent(target.component_name);
+  if (!alive_) return Status::Unavailable("process is down");
   if (ctx == nullptr) {
     return Status::NotFound("no component " + target.component_name);
-  }
-  if (recovering_ && pending_flusher_ != nullptr) {
-    // Finish recovering the target context before serving live traffic.
-    pending_flusher_(ctx->id());
-    if (!alive_) return Status::Unavailable("process is down");
-    ctx = FindContextOfComponent(target.component_name);
-    if (ctx == nullptr) {
-      return Status::NotFound("no component " + target.component_name);
-    }
   }
   ComponentSlot* slot = ctx->FindSlot(target.component_name);
   PHX_CHECK(slot != nullptr);

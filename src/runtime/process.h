@@ -20,6 +20,8 @@ namespace phoenix {
 class Machine;
 class Simulation;
 class CheckpointManager;
+class OnDemandReplayer;
+enum class MaterializeTrigger : int;
 
 // Name of the built-in activator component present in every process
 // (context/component id 0). Component creation is a normal persistent
@@ -63,6 +65,7 @@ class Process {
 
   // --- liveness ---
   bool alive() const { return alive_; }
+  // True during admission and while a cold context materializes.
   bool recovering() const { return recovering_; }
   void set_recovering(bool r) { recovering_ = r; }
 
@@ -85,8 +88,11 @@ class Process {
                                       const std::string& name,
                                       ComponentKind kind, ArgList ctor_args);
 
+  // The context table entry, cold shells included (no materialization).
   Context* FindContext(uint64_t context_id);
-  // Context owning component `name` (parents and subordinates).
+  // Context owning component `name` (parents and subordinates). A name
+  // lookup that reaches a cold context materializes it first; nullptr when
+  // that fails (the process died) or the name is unknown.
   Context* FindContextOfComponent(const std::string& name);
   ComponentSlot* FindComponent(const std::string& name);
   const std::map<uint64_t, std::unique_ptr<Context>>& contexts() const {
@@ -103,24 +109,33 @@ class Process {
   uint64_t next_parent_id() const { return next_parent_id_; }
   void set_next_parent_id(uint64_t id) { next_parent_id_ = id; }
 
+  // --- cold contexts (instant restart, recovery/on_demand_replay.h) ---
+  // Recovery admits calls before it has rebuilt the contexts: each one
+  // stays a cold shell until a call, a dependency or a checkpoint sweep
+  // materializes it. The replayer belongs to this incarnation: Kill moves
+  // it to the graveyard with the contexts.
+  void InstallReplayer(std::unique_ptr<OnDemandReplayer> replayer);
+  OnDemandReplayer* replayer() const { return replayer_.get(); }
+  bool IsCold(uint64_t context_id) const;
+  size_t cold_context_count() const;
+  // Materializes `context_id` if it is cold (OK when it is not).
+  Status MaterializeContext(uint64_t context_id, MaterializeTrigger trigger);
+  // Materializes the cold context holding the lowest GC pin (a sweep's
+  // drain step), or every cold context.
+  Status DrainOneColdContext();
+  Status DrainColdContexts();
+
   // --- transport entry point ---
-  // Delivers `msg` to the context of its target component. Fails with
-  // kUnavailable if this process is dead, kNotFound for unknown targets,
-  // kFailedPrecondition for remote calls to subordinates.
+  // Delivers `msg` to the context of its target component, materializing
+  // it first when it is cold. Fails with kUnavailable if this process is
+  // dead, kNotFound for unknown targets, kFailedPrecondition for remote
+  // calls to subordinates.
   Result<ReplyMessage> DeliverCall(const CallMessage& msg);
 
   // Consults the failure injector at `point`; if a crash is due, kills this
   // process and returns true. Silent while recovering unless
   // options.inject_failures_during_recovery is set.
   bool MaybeCrash(FailurePoint point);
-
-  // While recovering, DeliverCall flushes the target context's pending
-  // replay through this hook before handling a live call — a context must
-  // be recovered to its last send before serving anyone (condition 1).
-  using PendingFlusher = std::function<void(uint64_t context_id)>;
-  void SetPendingFlusher(PendingFlusher flusher) {
-    pending_flusher_ = std::move(flusher);
-  }
 
   // Called whenever this process's effects become visible outside it (a
   // message leaves, a reply returns, a checkpoint publishes). Raises the
@@ -155,7 +170,8 @@ class Process {
   uint64_t incoming_calls() const { return incoming_calls_; }
   void CountIncomingCall() { ++incoming_calls_; }
   uint64_t crash_count() const { return crash_count_; }
-  // Context tables and log managers kept alive in the crash graveyard.
+  // Context tables and log managers kept alive in the crash graveyard
+  // (their replayers go and come with them).
   size_t graveyard_size() const {
     return zombie_contexts_.size() + zombie_logs_.size();
   }
@@ -194,18 +210,19 @@ class Process {
   std::map<int, uint64_t> chain_touched_shards_;
   uint64_t incoming_calls_ = 0;
   uint64_t crash_count_ = 0;
-  PendingFlusher pending_flusher_;
+  std::unique_ptr<OnDemandReplayer> replayer_;
 
-  // Crash graveyard: sessions parked inside a context's or log manager's
-  // member functions when the process dies resume on the old objects (and
-  // immediately unwind with Crashed), and a driver-chain call that killed
-  // its own process unwinds through them. Start() frees the graveyard when
-  // neither can happen — no session scheduler is running and no context is
-  // on the driver's stack — and otherwise keeps the corpses until a later
-  // such Start() or the process's destruction, which keeps that resume
-  // memory-safe.
+  // Crash graveyard: sessions parked inside a context's, log manager's or
+  // replayer's member functions when the process dies resume on the old
+  // objects (and immediately unwind with Crashed), and a driver-chain call
+  // that killed its own process unwinds through them. Start() frees the
+  // graveyard when neither can happen — no session scheduler is running
+  // and no context is on the driver's stack — and otherwise keeps the
+  // corpses until a later such Start() or the process's destruction, which
+  // keeps that resume memory-safe.
   std::vector<std::map<uint64_t, std::unique_ptr<Context>>> zombie_contexts_;
   std::vector<std::unique_ptr<LogManager>> zombie_logs_;
+  std::vector<std::unique_ptr<OnDemandReplayer>> zombie_replayers_;
 };
 
 }  // namespace phoenix

@@ -32,6 +32,8 @@ const char* FailurePointName(FailurePoint point) {
       return "between_replay_units";
     case FailurePoint::kDuringEndOfLogFlush:
       return "during_endlog_flush";
+    case FailurePoint::kBetweenMaterializations:
+      return "between_materializations";
   }
   return "unknown";
 }

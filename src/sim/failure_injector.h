@@ -32,14 +32,16 @@ enum class FailurePoint : int {
   // Recovery-phase points: recovery itself is a fault domain. These hooks
   // only fire when RuntimeOptions.inject_failures_during_recovery is set
   // (otherwise the recovering process skips the injector entirely and the
-  // hit counters below stay untouched).
+  // hit counters below stay untouched). All but the analysis scan run when
+  // a cold context materializes (recovery/on_demand_replay.h).
   kDuringRecoveryAnalysis = 9,   // pass-1 analysis scan, per record
-  kDuringRecoveryRestore = 10,   // checkpoint-state reinstatement, per ctx
-  kBetweenReplayUnits = 11,      // pass 2, after each replayed unit
-  kDuringEndOfLogFlush = 12,     // end-of-log flush of pending finals
+  kDuringRecoveryRestore = 10,   // a context rebuilt from its origin
+  kBetweenReplayUnits = 11,      // after each replayed complete unit
+  kDuringEndOfLogFlush = 12,     // after a chain's final unit
+  kBetweenMaterializations = 13,  // a context finished, others still cold
 };
 
-constexpr int kNumFailurePoints = 13;
+constexpr int kNumFailurePoints = 14;
 
 // Returns a short name for the failure point (for test diagnostics).
 const char* FailurePointName(FailurePoint point);

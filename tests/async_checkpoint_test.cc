@@ -361,7 +361,7 @@ struct DirectRig {
   // Kill + supervised restart; the restarted process keeps async capture.
   void CrashAndRestart() {
     server->Kill();
-    ASSERT_TRUE(machine->recovery_service().EnsureProcessAlive(1).ok());
+    ASSERT_TRUE(machine->recovery_service().RecoverFully(1).ok());
   }
 
   CheckpointManager& cp() { return server->checkpoints(); }

@@ -84,16 +84,16 @@ TEST(ClassifyDeltaTest, AnyDifferenceClassifies) {
 
 TEST(BenchDiffTest, ClassifiesByMetaDirection) {
   ParsedVariant base{"v", {{"recovery_ms", 2000.0},
-                           {"speedup_vs_sequential", 1.5},
+                           {"first_reply_speedup", 1.5},
                            {"sessions", 8.0}}};
   ParsedVariant cand{"v", {{"recovery_ms", 1800.0},
-                           {"speedup_vs_sequential", 1.2},
+                           {"first_reply_speedup", 1.2},
                            {"sessions", 16.0}}};
   BenchDiff diff = DiffBenchReports({MakeReport("t7", {base})},
                                     {MakeReport("t7", {cand})});
   EXPECT_EQ(FindDelta(diff, "t7", "v", "recovery_ms")->cls,
             DeltaClass::kImprovement);
-  EXPECT_EQ(FindDelta(diff, "t7", "v", "speedup_vs_sequential")->cls,
+  EXPECT_EQ(FindDelta(diff, "t7", "v", "first_reply_speedup")->cls,
             DeltaClass::kRegression);
   // Workload descriptor: doubling the session count is neither better nor
   // worse, but it is a different workload than the baseline measured.

@@ -65,7 +65,7 @@ TEST_F(CheckpointTest, RecoveryFromStateSkipsOldCalls) {
 
   int executions_before = ExecutionLog::Of("c.Add");
   server_->Kill();
-  ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+  ASSERT_TRUE(alpha_->recovery_service().RecoverFully(1).ok());
   // Only the 2 post-state calls replayed, not all 12.
   EXPECT_EQ(ExecutionLog::Of("c.Add"), executions_before + 2);
   EXPECT_EQ(client.Call(*uri, "Get", {})->AsInt(), 12);

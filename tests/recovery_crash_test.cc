@@ -63,7 +63,7 @@ TEST_F(RecoveryCrashTest, CrashAtEachRecoveryPointConverges) {
 
     proc_->Kill();
     sim_->injector().AddTrigger("alpha", proc_->pid(), point, /*hit=*/1);
-    Status recovered = alpha_->recovery_service().EnsureProcessAlive(1);
+    Status recovered = alpha_->recovery_service().RecoverFully(1);
     ASSERT_TRUE(recovered.ok())
         << FailurePointName(point) << ": " << recovered.ToString();
     EXPECT_EQ(sim_->injector().crashes_fired(), 1u)
@@ -256,39 +256,50 @@ TEST_F(RecoveryCrashTest, RedundantTablePersistSkipped) {
   EXPECT_EQ(client.Call(uri, "Get", {})->AsInt(), 10);
 }
 
-TEST_F(RecoveryCrashTest, CrashBetweenParallelReplayUnitsConverges) {
-  RuntimeOptions opts;
-  opts.inject_failures_during_recovery = true;
-  opts.parallel_replay = true;
-  opts.parallel_replay_sessions = 4;
-  SetUpSim(opts);
-  // Two chains plus an independent counter: enough parallelism for the
-  // planner, so the crash fires inside the parallel replay engine itself.
-  ExternalClient client(sim_.get(), "alpha");
-  auto leaf = client.CreateComponent(*proc_, "Counter", "leaf",
-                                     ComponentKind::kPersistent, {});
-  auto mid = client.CreateComponent(*proc_, "Chain", "mid",
-                                    ComponentKind::kPersistent,
-                                    MakeArgs(*leaf, "Add"));
-  auto solo = client.CreateComponent(*proc_, "Counter", "solo",
-                                     ComponentKind::kPersistent, {});
-  ASSERT_TRUE(leaf.ok() && mid.ok() && solo.ok());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(client.Call(*mid, "Bump", MakeArgs(i + 1)).ok());
-  }
-  ASSERT_TRUE(client.Call(*solo, "Add", MakeArgs(5)).ok());
-  ASSERT_TRUE(client.Call(*solo, "Add", MakeArgs(7)).ok());
+TEST_F(RecoveryCrashTest, CrashBetweenOnDemandReplayUnitsConverges) {
+  // Two chains plus an independent counter, crashed between two replayed
+  // units, recovered on demand (the crash fires inside the first call's
+  // materialization and that call's retry restarts the process) and by
+  // draining every cold context first; both must converge to one state.
+  auto run = [this](bool drain_all) {
+    RuntimeOptions opts;
+    opts.inject_failures_during_recovery = true;
+    SetUpSim(opts);
+    ExternalClient client(sim_.get(), "alpha");
+    auto leaf = client.CreateComponent(*proc_, "Counter", "leaf",
+                                       ComponentKind::kPersistent, {});
+    auto mid = client.CreateComponent(*proc_, "Chain", "mid",
+                                      ComponentKind::kPersistent,
+                                      MakeArgs(*leaf, "Add"));
+    auto solo = client.CreateComponent(*proc_, "Counter", "solo",
+                                       ComponentKind::kPersistent, {});
+    EXPECT_TRUE(leaf.ok() && mid.ok() && solo.ok());
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(client.Call(*mid, "Bump", MakeArgs(i + 1)).ok());
+    }
+    EXPECT_TRUE(client.Call(*solo, "Add", MakeArgs(5)).ok());
+    EXPECT_TRUE(client.Call(*solo, "Add", MakeArgs(7)).ok());
 
-  proc_->Kill();
-  sim_->injector().AddTrigger("alpha", proc_->pid(),
-                              FailurePoint::kBetweenReplayUnits, /*hit=*/2);
-  ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
-  EXPECT_EQ(sim_->injector().crashes_fired(), 1u);
-  EXPECT_EQ(Counter("phoenix.recovery.supervisor.attempts"), 2u);
-  EXPECT_GT(Counter("phoenix.recovery.replay.chains"), 0u);
-  EXPECT_EQ(client.Call(*leaf, "Get", {})->AsInt(), 6);
-  EXPECT_EQ(client.Call(*mid, "Get", {})->AsInt(), 6);
-  EXPECT_EQ(client.Call(*solo, "Get", {})->AsInt(), 12);
+    proc_->Kill();
+    sim_->injector().AddTrigger("alpha", proc_->pid(),
+                                FailurePoint::kBetweenReplayUnits, /*hit=*/2);
+    if (drain_all) {
+      EXPECT_TRUE(alpha_->recovery_service().RecoverFully(1).ok());
+    } else {
+      EXPECT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+      EXPECT_EQ(proc_->cold_context_count(), 3u);
+    }
+    std::vector<int64_t> state{client.Call(*leaf, "Get", {})->AsInt(),
+                               client.Call(*mid, "Get", {})->AsInt(),
+                               client.Call(*solo, "Get", {})->AsInt()};
+    EXPECT_EQ(sim_->injector().crashes_fired(), 1u);
+    EXPECT_EQ(Counter("phoenix.recovery.supervisor.attempts"), 2u);
+    EXPECT_GT(Counter("phoenix.recovery.replay.chains"), 0u);
+    return state;
+  };
+  std::vector<int64_t> on_demand = run(/*drain_all=*/false);
+  EXPECT_EQ(on_demand, run(/*drain_all=*/true));
+  EXPECT_EQ(on_demand, (std::vector<int64_t>{6, 6, 12}));
 }
 
 }  // namespace

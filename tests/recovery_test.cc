@@ -60,7 +60,7 @@ TEST_F(RecoveryTest, ReplayReexecutesLoggedCalls) {
   int before = ExecutionLog::Of("c.Add");
 
   server_->Kill();
-  ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+  ASSERT_TRUE(alpha_->recovery_service().RecoverFully(1).ok());
   // Redo recovery re-ran the method bodies.
   EXPECT_EQ(ExecutionLog::Of("c.Add"), before + 2);
 }
@@ -120,7 +120,7 @@ TEST_F(RecoveryTest, DuplicateAfterRecoveryAnsweredFromLog) {
   ASSERT_TRUE(sim_->RouteCall("alpha", msg).ok());
 
   server_->Kill();
-  ASSERT_TRUE(alpha_->recovery_service().EnsureProcessAlive(1).ok());
+  ASSERT_TRUE(alpha_->recovery_service().RecoverFully(1).ok());
   int executions = ExecutionLog::Of("c.Add");
 
   // The "client" retries with the same ID; the recovered last-call table

@@ -2,8 +2,8 @@
 // DAG shape (acyclicity, forward-only edges), cross-context edges at local
 // call boundaries with replies feeding the open unit, salvage-aware
 // eligibility (only chains whose record extents intersect a salvage gap are
-// demoted; a torn tail demotes nothing), and parallel end state identical
-// to sequential replay — including on salvaged logs.
+// demoted; a torn tail demotes nothing), and on-demand recovery's end state
+// identical to draining every cold context — including on salvaged logs.
 
 #include <gtest/gtest.h>
 
@@ -357,8 +357,8 @@ TEST_F(ReplayPlanTest, TooFewChainsFallsBackToSequential) {
   EXPECT_EQ(plan.chains.size(), 2u);
 }
 
-// End-to-end: recovering the same crashed workload with the parallel engine
-// leaves exactly the state sequential replay leaves.
+// End-to-end: recovering the same crashed workload on demand leaves exactly
+// the state that draining every cold context right after admission leaves.
 int64_t GetCount(Simulation* sim, const std::string& uri) {
   ExternalClient client(sim, "alpha");
   auto value = client.Call(uri, "Get", {});
@@ -366,14 +366,22 @@ int64_t GetCount(Simulation* sim, const std::string& uri) {
   return value.ok() ? value->AsInt() : -1;
 }
 
-std::vector<int64_t> RunCrashRecover(bool parallel,
+uint64_t Materialized(Simulation& sim, const char* trigger) {
+  return sim.metrics()
+      .GetCounter("phoenix.recovery.contexts_materialized",
+                  obs::LabelSet{{"process", "alpha/1"}, {"trigger", trigger}})
+      .value();
+}
+
+// The drain takes the contexts in recovery order: leaf first, whose units
+// depend on mid's (mid's Bump calls made them), so mid replays through
+// those units as a dependency before leaf's. On demand, calls reach solo,
+// mid and leaf in that order, so each materializes for its own call.
+std::vector<int64_t> RunCrashRecover(bool drain_all,
                                      bool corrupt_interior = false) {
-  RuntimeOptions options;
-  options.parallel_replay = parallel;
-  options.parallel_replay_sessions = 4;
   SimulationParams params;
   params.seed = 42;
-  Simulation sim(options, params);
+  Simulation sim(RuntimeOptions{}, params);
   RegisterTestComponents(sim.factories());
   Machine& alpha = sim.AddMachine("alpha");
   Process& proc = alpha.CreateProcess();
@@ -382,55 +390,59 @@ std::vector<int64_t> RunCrashRecover(bool parallel,
   proc.Kill();
   if (corrupt_interior) {
     // Bit-rot a record interleaved inside one of mid's Bump extents. The
-    // gap demotes mid's chain while leaf/solo stay parallel-eligible; both
-    // engines are identically blind to the lost record. (A torn tail would
-    // be amputated by salvage assessment before planning ever sees it.)
+    // gap demotes mid's chain while leaf/solo stay eligible; both orders
+    // are identically blind to the lost record. (A torn tail would be
+    // amputated by salvage assessment before planning ever sees it.)
     uint64_t interior = FindAnyInteriorLsn(proc, PlanFor(proc));
     EXPECT_NE(interior, kInvalidLsn);
     sim.storage().CorruptLog(proc.log_name(), interior + 8,
                              /*flip_count=*/2);
   }
-  EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
-
-  std::vector<int64_t> state{GetCount(&sim, w.leaf), GetCount(&sim, w.mid),
-                             GetCount(&sim, w.solo)};
-  // The parallel run must actually have taken the parallel path.
-  uint64_t chains =
-      sim.metrics().CounterTotal("phoenix.recovery.replay.chains");
-  if (parallel) {
-    EXPECT_GT(chains, 0u);
+  if (drain_all) {
+    EXPECT_TRUE(alpha.recovery_service().RecoverFully(proc.pid()).ok());
   } else {
-    EXPECT_EQ(chains, 0u);
+    EXPECT_TRUE(alpha.recovery_service().EnsureProcessAlive(proc.pid()).ok());
+    EXPECT_EQ(proc.cold_context_count(), 3u);
   }
-  EXPECT_EQ(sim.metrics().CounterTotal(
-                "phoenix.recovery.replay.salvaged_parallel"),
-            parallel && corrupt_interior ? 1u : 0u);
-  if (parallel && corrupt_interior) {
+
+  // On demand, calls arrive newest context first (the drain's reverse).
+  int64_t solo = GetCount(&sim, w.solo);
+  int64_t mid = GetCount(&sim, w.mid);
+  int64_t leaf = GetCount(&sim, w.leaf);
+  EXPECT_EQ(proc.cold_context_count(), 0u);
+  if (drain_all) {
+    // leaf (the oldest origin) comes first and pulls mid in.
+    EXPECT_EQ(Materialized(sim, "drain"), 2u);
+    EXPECT_EQ(Materialized(sim, "dependency"), 1u);
+  } else {
+    EXPECT_EQ(Materialized(sim, "call"), 3u);
+  }
+  EXPECT_GT(sim.metrics().CounterTotal("phoenix.recovery.replay.chains"), 0u);
+  if (corrupt_interior) {
     EXPECT_GE(sim.metrics().CounterTotal(
                   "phoenix.recovery.replay.chains_demoted"),
               1u);
   }
-  return state;
+  return {leaf, mid, solo};
 }
 
-TEST(ParallelReplayTest, EndStateMatchesSequentialReplay) {
-  std::vector<int64_t> sequential = RunCrashRecover(/*parallel=*/false);
-  std::vector<int64_t> parallel = RunCrashRecover(/*parallel=*/true);
-  EXPECT_EQ(sequential, parallel);
+TEST(OnDemandReplayTest, EndStateMatchesDrainAll) {
+  std::vector<int64_t> drained = RunCrashRecover(/*drain_all=*/true);
+  std::vector<int64_t> on_demand = RunCrashRecover(/*drain_all=*/false);
+  EXPECT_EQ(drained, on_demand);
   // Sanity: the workload above adds 1+2+3 through mid into leaf, 5+7 solo.
-  EXPECT_EQ(sequential, (std::vector<int64_t>{6, 6, 12}));
+  EXPECT_EQ(drained, (std::vector<int64_t>{6, 6, 12}));
 }
 
-// The salvage-parallel equivalence argument end to end: with an interior
-// gap both engines lose the same record, so the parallel path — which now
-// stays engaged on salvaged logs, serializing only the demoted chain —
-// must land on the sequential state.
-TEST(ParallelReplayTest, SalvagedEndStateMatchesSequentialReplay) {
-  std::vector<int64_t> sequential =
-      RunCrashRecover(/*parallel=*/false, /*corrupt_interior=*/true);
-  std::vector<int64_t> parallel =
-      RunCrashRecover(/*parallel=*/true, /*corrupt_interior=*/true);
-  EXPECT_EQ(sequential, parallel);
+// The same with an interior gap: both orders lose the same record, so
+// on-demand replay — which follows the demoted chain's serialization
+// edges as dependencies — must land on the drain-all state.
+TEST(OnDemandReplayTest, SalvagedEndStateMatchesDrainAll) {
+  std::vector<int64_t> drained =
+      RunCrashRecover(/*drain_all=*/true, /*corrupt_interior=*/true);
+  std::vector<int64_t> on_demand =
+      RunCrashRecover(/*drain_all=*/false, /*corrupt_interior=*/true);
+  EXPECT_EQ(drained, on_demand);
 }
 
 }  // namespace

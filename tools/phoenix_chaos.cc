@@ -43,11 +43,19 @@
 //                             depth 3), with storage attacks between
 //                             attempts. Twin: the same kill with a clean
 //                             recovery, same layout.
+//   --crash-half-restored     a mid-run server kill whose recovery admits
+//                             calls with every context cold; crashes fire
+//                             while contexts materialize, between
+//                             materializations, and inside a checkpoint
+//                             bracket taken right after admission; half the
+//                             runs drain from checkpoint sweeps. Twin: the
+//                             same kill and bracket without crashes, same
+//                             layout.
 //
-// --async-checkpoint and --crash-during-recovery run both the faulted run
-// and its twin on a --wal-shards log and exclude each other. The harness
-// exits 2 on a malformed number, a --wal-shards outside 1..64 or both mode
-// flags together.
+// --async-checkpoint, --crash-during-recovery and --crash-half-restored run
+// both the faulted run and its twin on a --wal-shards log and exclude each
+// other. The harness exits 2 on a malformed number, a --wal-shards outside
+// 1..64 or two mode flags together.
 //
 // Every decision flows from --seed through split Random streams, so a rerun
 // with the same flags emits a byte-identical phoenix.chaos.v1 report.
@@ -55,7 +63,8 @@
 // Usage:
 //   phoenix_chaos [--runs=N] [--seed=S] [--sessions=N] [--overlap=N]
 //                 [--wal-shards=N] [--async-checkpoint]
-//                 [--crash-during-recovery] [--out=FILE] [--verbose]
+//                 [--crash-during-recovery] [--crash-half-restored]
+//                 [--out=FILE] [--verbose]
 
 #include <algorithm>
 #include <cerrno>
@@ -71,7 +80,9 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "obs/bench_reporter.h"
+#include "recovery/checkpoint_manager.h"
 #include "recovery/recovery_service.h"
+#include "wal/force_point.h"
 
 namespace phoenix::tools {
 namespace {
@@ -95,6 +106,7 @@ struct CampaignOptions {
   bool verbose = false;
   bool crash_during_recovery = false;
   bool async_checkpoint = false;
+  bool crash_half_restored = false;
   // WAL layout of every run; > 1 without a mode flag selects the
   // sharded-WAL mode.
   uint32_t wal_shards = 1;
@@ -171,7 +183,6 @@ struct RunConfig {
   int stores = 2;
   int overlap = 1;             // sessions per concurrent wave (1 = sequential)
   bool group_commit = false;   // coalesce durability waits across the wave
-  bool parallel_replay = false;  // recover with the parallel replay engine
   // > 0: async_checkpoint_interval of the background checkpoint sweeper,
   // which takes over from the (then zero) inline cadence.
   uint32_t async_interval = 0;
@@ -204,6 +215,13 @@ struct RunConfig {
   bool attack_wkf = false;    // corrupt the well-known file before attempt 2
   bool attack_state = false;  // corrupt the newest state record, attempt 2
   bool attack_tear = false;   // tear the stable tail before attempt 3
+
+  // Crash-half-restored: the mid-run kill restarts the server on both runs
+  // and, once calls are admitted, takes a checkpoint bracket while every
+  // context is still cold; on the faulted run these (point, hit) triggers
+  // are armed right after admission, counting from there.
+  bool cold_bracket = false;
+  std::vector<std::pair<FailurePoint, uint64_t>> half_restored_crashes;
 };
 
 // --- config drawers ----------------------------------------------------------
@@ -261,10 +279,9 @@ RunConfig MakeRunConfig(const CampaignOptions& campaign, int run) {
   // seller — the persistent tier whose replay masks everything else. Only
   // meaningful in agent topologies; external_direct has no agent.
   cfg.attack_agent = rng.Bernoulli(0.5);
-  // Recover a seeded subset of runs with the parallel replay planner, so
-  // the exactly-once oracle also polices plan-driven recovery (and its
-  // sequential fallbacks on salvaged logs) under every fault mix.
-  cfg.parallel_replay = rng.Bernoulli(0.4);
+  // An unused draw: removing it would shift every later draw, and so every
+  // existing campaign.
+  (void)rng.Bernoulli(0.4);
   // Draws gated on the flag so --overlap=1 replays the sequential
   // harness's exact decision stream.
   if (campaign.overlap > 1 && rng.Bernoulli(0.6)) {
@@ -306,7 +323,7 @@ RunConfig MakeRecoveryCrashConfig(const CampaignOptions& campaign, int run) {
   cfg.topology = rng.Bernoulli(0.5) ? Topology::kRemoteAgent
                                     : Topology::kColocatedAgent;
   cfg.stores = 1 + static_cast<int>(rng.Uniform(2));
-  cfg.parallel_replay = rng.Bernoulli(0.5);
+  (void)rng.Bernoulli(0.5);  // unused; keeps the later draws in place
 
   static const FailurePoint kRecoveryPoints[] = {
       FailurePoint::kDuringRecoveryAnalysis,
@@ -366,7 +383,7 @@ RunConfig MakeAsyncCheckpointConfig(const CampaignOptions& campaign,
   int span = campaign.overlap > 2 ? campaign.overlap - 1 : 1;
   cfg.overlap = 2 + static_cast<int>(rng.Uniform(
                         static_cast<uint64_t>(span)));
-  cfg.parallel_replay = rng.Bernoulli(0.4);
+  (void)rng.Bernoulli(0.4);  // unused; keeps the later draws in place
   // 1..3 crash triggers aimed at the points only the background sweeper
   // reaches on these runs (the inline cadence is off, so kDuringStateSave
   // and kDuringCheckpoint can't fire from a foreground chain). Sweeps are
@@ -434,7 +451,75 @@ RunConfig MakeShardChaosConfig(const CampaignOptions& campaign, int run) {
   cfg.bitrot_wkf = rng.Bernoulli(0.2);
   cfg.tear_shard = rng.Bernoulli(0.3);
   cfg.attack_agent = rng.Bernoulli(0.3);
-  cfg.parallel_replay = rng.Bernoulli(0.5);
+  (void)rng.Bernoulli(0.5);  // unused; keeps the campaign's draws in place
+  return cfg;
+}
+
+// --crash-half-restored treats instant restart's half-restored process as
+// the fault domain. The server is killed mid-campaign and restarted; its
+// recovery admits calls with every context still a cold shell, and the
+// campaign's next sessions materialize them on demand (half the runs also
+// drain them from background checkpoint sweeps). Right after admission the
+// faulted run arms 1..3 crashes at the points only a half-restored process
+// reaches: mid-materialization (after a context is rebuilt from its
+// origin, or between two of its replayed units), between materializations
+// while other contexts are still cold, and inside the checkpoint bracket
+// the harness takes while every context is cold. Every crash restarts the
+// process into a fresh set of shells; the run must still reproduce its
+// fault-free twin's state. Persistent topologies only.
+RunConfig MakeHalfRestoredConfig(const CampaignOptions& campaign, int run) {
+  Random rng(campaign.seed * 5000011ull + static_cast<uint64_t>(run));
+  RunConfig cfg;
+  cfg.sim_seed = campaign.seed * 7919ull + static_cast<uint64_t>(run) + 1;
+  switch (rng.Uniform(3)) {
+    case 0:
+      cfg.level = bookstore::OptLevel::kBaseline;
+      break;
+    case 1:
+      cfg.level = bookstore::OptLevel::kOptimizedLogging;
+      break;
+    default:
+      cfg.level = bookstore::OptLevel::kSpecialized;
+      break;
+  }
+  cfg.topology = rng.Bernoulli(0.5) ? Topology::kRemoteAgent
+                                    : Topology::kColocatedAgent;
+  cfg.stores = 1 + static_cast<int>(rng.Uniform(2));
+  if (rng.Bernoulli(0.5)) {
+    // Background sweeps (each drains one cold context) in overlapping
+    // waves; the inline cadence is then off.
+    cfg.async_interval = 2 + static_cast<uint32_t>(rng.Uniform(3));
+    int span = campaign.overlap > 2 ? campaign.overlap - 1 : 1;
+    cfg.overlap = 2 + static_cast<int>(rng.Uniform(
+                          static_cast<uint64_t>(span)));
+  } else {
+    const uint32_t kSaveChoices[] = {0, 3, 7};
+    cfg.save_every = kSaveChoices[rng.Uniform(3)];
+    cfg.checkpoint_every = cfg.save_every > 0 ? cfg.save_every * 2 : 0;
+  }
+  cfg.cold_bracket = rng.Bernoulli(0.5);
+  static const FailurePoint kHalfRestoredPoints[] = {
+      FailurePoint::kDuringRecoveryRestore,
+      FailurePoint::kBetweenReplayUnits,
+      FailurePoint::kBetweenMaterializations,
+      FailurePoint::kDuringCheckpoint,
+  };
+  uint64_t cumulative[kNumFailurePoints] = {};
+  uint64_t crash_count = 1 + rng.Uniform(3);
+  for (uint64_t i = 0; i < crash_count; ++i) {
+    FailurePoint point = kHalfRestoredPoints[rng.Uniform(4)];
+    if (point == FailurePoint::kDuringCheckpoint) {
+      // Hit 1 from admission on is the bracket the harness takes while
+      // every context is cold.
+      if (cumulative[static_cast<int>(point)] > 0) continue;
+      cfg.cold_bracket = true;
+      cumulative[static_cast<int>(point)] = 1;
+    } else {
+      cumulative[static_cast<int>(point)] += 1 + rng.Uniform(2);
+    }
+    cfg.half_restored_crashes.emplace_back(
+        point, cumulative[static_cast<int>(point)]);
+  }
   return cfg;
 }
 
@@ -499,10 +584,8 @@ const Mode kClassicMode = {
      {"group_commit_runs"},
      {"group_commit_flushes", "phoenix.wal.group_commit.flushes"},
      {"group_commit_coalesced", "phoenix.wal.group_commit.coalesced"},
-     {"parallel_replay_runs"},
      {"replay_chains", "phoenix.recovery.replay.chains"},
-     {"replay_edges", "phoenix.recovery.replay.edges"},
-     {"replay_fallbacks", "phoenix.recovery.replay.fallbacks"}}};
+     {"replay_edges", "phoenix.recovery.replay.edges"}}};
 
 const Mode kRecoveryCrashMode = {
     "chaos_recovery_crash",
@@ -522,9 +605,7 @@ const Mode kRecoveryCrashMode = {
      {"storage_attacks_applied"},
      {"degraded_mode_attempts", "phoenix.recovery.mode"},
      {"cold_starts", "phoenix.recovery.cold_starts"},
-     {"salvaged_parallel_replays", "phoenix.recovery.replay.salvaged_parallel"},
      {"replay_chains_demoted", "phoenix.recovery.replay.chains_demoted"},
-     {"parallel_replay_runs"},
      {"depth1_runs"},
      {"depth2_runs"},
      {"depth3_runs"},
@@ -556,7 +637,6 @@ const Mode kAsyncCheckpointMode = {
      {"saves_not_due", "phoenix.checkpoint.async.saves_not_due"},
      {"state_saves", "phoenix.checkpoint.state_saves"},
      {"group_flushes", "phoenix.wal.group_commit.flushes"},
-     {"parallel_replay_runs"},
      {"save_threshold_runs"},
      {"triggers_at_state_save", "crashes_at_state_save"},
      {"triggers_at_checkpoint", "crashes_at_checkpoint"},
@@ -591,8 +671,36 @@ const Mode kWalShardsMode = {
      {"salvage_state_record_fallbacks",
       "phoenix.recovery.salvage.state_record_fallback"},
      {"dedupe_hits", "phoenix.intercept.dedupe_hits"},
-     {"interceptor_retries", "phoenix.intercept.retries"},
-     {"parallel_replay_runs"}}};
+     {"interceptor_retries", "phoenix.intercept.retries"}}};
+
+const Mode kHalfRestoredMode = {
+    "chaos_half_restored",
+    "chaos_half_restored_flight_run",
+    MakeHalfRestoredConfig,
+    Twin::kSameLayout,
+    /*per_topology=*/false,
+    {{"runs"},
+     {"seed"},
+     {"sessions_per_run"},
+     {"violations"},
+     {"state_hash_divergences"},
+     {"sessions_total"},
+     {"crashes_fired"},
+     {"recoveries"},
+     {"contexts_materialized", "phoenix.recovery.contexts_materialized"},
+     {"cold_brackets"},
+     {"drain_runs"},
+     {"dedupe_hits", "phoenix.intercept.dedupe_hits"},
+     {"triggers_at_restore", "crashes_at_restore"},
+     {"triggers_between_units", "crashes_between_units"},
+     {"triggers_between_materializations",
+      "crashes_between_materializations"},
+     {"triggers_at_checkpoint", "crashes_at_checkpoint"},
+     {"crashes_fired_at_restore", "crashes_at_restore/fired"},
+     {"crashes_fired_between_units", "crashes_between_units/fired"},
+     {"crashes_fired_between_materializations",
+      "crashes_between_materializations/fired"},
+     {"crashes_fired_at_checkpoint", "crashes_at_checkpoint/fired"}}};
 
 const char* MetricKey(const Metric& m) { return m.key ? m.key : m.name; }
 
@@ -615,6 +723,8 @@ const char* TriggerMetric(FailurePoint point) {
       return "crashes_between_units";
     case FailurePoint::kDuringEndOfLogFlush:
       return "crashes_at_endlog_flush";
+    case FailurePoint::kBetweenMaterializations:
+      return "crashes_between_materializations";
     default:
       return nullptr;
   }
@@ -624,12 +734,14 @@ const char* TriggerMetric(FailurePoint point) {
 void TallyConfig(const RunConfig& cfg, Tally& tally) {
   tally["concurrent_runs"] += cfg.overlap > 1 ? 1 : 0;
   tally["group_commit_runs"] += cfg.group_commit ? 1 : 0;
-  tally["parallel_replay_runs"] += cfg.parallel_replay ? 1 : 0;
   tally["save_threshold_runs"] += cfg.save_due_after > 0 ? 1 : 0;
+  tally["cold_brackets"] += cfg.cold_bracket ? 1 : 0;
+  tally["drain_runs"] += cfg.async_interval > 0 ? 1 : 0;
   tally["storage_attack_runs"] +=
       cfg.bitrot_state || cfg.bitrot_wkf || cfg.tear_shard ? 1 : 0;
   if (cfg.depth > 0) ++tally[StrCat("depth", cfg.depth, "_runs")];
-  for (const auto* triggers : {&cfg.crashes, &cfg.recovery_crashes}) {
+  for (const auto* triggers : {&cfg.crashes, &cfg.recovery_crashes,
+                               &cfg.half_restored_crashes}) {
     for (const auto& [point, hit] : *triggers) {
       if (const char* name = TriggerMetric(point)) ++tally[name];
     }
@@ -793,10 +905,10 @@ RunOutcome RunOne(const Mode& mode, const RunConfig& cfg, int run,
   // campaign runs unbounded.
   runtime.call_retry_budget_ms = 0.0;
   runtime.group_commit = cfg.group_commit;
-  runtime.parallel_replay = cfg.parallel_replay;
   runtime.wal_shards = shards;
   runtime.inject_failures_during_recovery =
-      inject && !cfg.recovery_crashes.empty();
+      inject && (!cfg.recovery_crashes.empty() ||
+                 !cfg.half_restored_crashes.empty());
   if (cfg.async_interval > 0) {
     // Every capture and publish runs on the background session. Group
     // commit must be on for the scheduler to rotate into that session
@@ -922,8 +1034,11 @@ RunOutcome RunOne(const Mode& mode, const RunConfig& cfg, int run,
   // The target is killed and its machine's recovery service restarts it.
   // A faulted run first damages the target's storage or arms recovery-phase
   // crashes and between-attempt attacks; under crash-during-recovery the
-  // twin takes the same kill with a clean recovery.
-  bool restart = !cfg.recovery_crashes.empty() ||
+  // twin takes the same kill with a clean recovery. Under crash-half-
+  // restored both runs take the kill and the cold bracket, and the faulted
+  // run arms its crashes once calls are admitted.
+  bool half_restored = !cfg.half_restored_crashes.empty();
+  bool restart = !cfg.recovery_crashes.empty() || half_restored ||
                  (inject && (cfg.bitrot_state || cfg.bitrot_wkf ||
                              cfg.tear_shard));
   int event_at = restart && sessions >= 2 ? sessions / 2 : sessions;
@@ -968,7 +1083,24 @@ RunOutcome RunOne(const Mode& mode, const RunConfig& cfg, int run,
                                    RecoveryAttack::kTearStableTail);
       }
     }
-    return machine.recovery_service().EnsureProcessAlive(target.pid());
+    Status admitted =
+        machine.recovery_service().EnsureProcessAlive(target.pid());
+    if (!admitted.ok() || !half_restored) return admitted;
+    if (inject) {
+      for (const auto& [point, hit] : cfg.half_restored_crashes) {
+        sim.injector().AddTrigger(machine.name(), target.pid(), point, hit);
+      }
+    }
+    if (cfg.cold_bracket) {
+      // Every context is still a cold shell: the bracket records their
+      // origins. A crash inside it leaves the process down until the next
+      // session's call restarts it.
+      if (target.checkpoints().TakeProcessCheckpoint().ok() &&
+          target.WaitDurable(ForcePoint::kManual).ok()) {
+        target.checkpoints().MaybePublishCheckpoint();
+      }
+    }
+    return Status::OK();
   };
 
   int next = 0;
@@ -1182,7 +1314,8 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--runs=N] [--seed=S] [--sessions=N] "
                "[--overlap=N] [--wal-shards=1..%u] [--out=FILE] [--verbose] "
-               "[--crash-during-recovery | --async-checkpoint]\n",
+               "[--crash-during-recovery | --async-checkpoint | "
+               "--crash-half-restored]\n",
                argv0, kMaxWalShards);
   return 2;
 }
@@ -1211,6 +1344,8 @@ int Main(int argc, char** argv) {
       campaign.crash_during_recovery = true;
     } else if (arg == "--async-checkpoint") {
       campaign.async_checkpoint = true;
+    } else if (arg == "--crash-half-restored") {
+      campaign.crash_half_restored = true;
     } else {
       ok = false;
     }
@@ -1219,14 +1354,17 @@ int Main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (campaign.async_checkpoint && campaign.crash_during_recovery) {
+  if (int{campaign.async_checkpoint} + int{campaign.crash_during_recovery} +
+          int{campaign.crash_half_restored} >
+      1) {
     std::fprintf(stderr,
-                 "--async-checkpoint and --crash-during-recovery are "
-                 "separate campaigns\n");
+                 "--async-checkpoint, --crash-during-recovery and "
+                 "--crash-half-restored are separate campaigns\n");
     return Usage(argv[0]);
   }
   const Mode& mode = campaign.async_checkpoint ? kAsyncCheckpointMode
                      : campaign.crash_during_recovery ? kRecoveryCrashMode
+                     : campaign.crash_half_restored   ? kHalfRestoredMode
                      : campaign.wal_shards > 1        ? kWalShardsMode
                                                       : kClassicMode;
   return RunCampaign(mode, campaign);

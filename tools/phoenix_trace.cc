@@ -187,7 +187,7 @@ void DumpTables(Process& proc) {
     Component* parent = ctx->parent();
     std::printf(
         "  ctx %llu  parent %s (%s %s)  out-seq %llu  state-lsn %s  "
-        "creation-lsn %s\n",
+        "creation-lsn %s%s\n",
         static_cast<unsigned long long>(context_id),
         parent != nullptr ? parent->name().c_str() : "?",
         parent != nullptr ? ComponentKindName(parent->kind()) : "?",
@@ -198,7 +198,8 @@ void DumpTables(Process& proc) {
             : StrCat(ctx->state_record_lsn()).c_str(),
         ctx->creation_lsn() == kInvalidLsn
             ? "-"
-            : StrCat(ctx->creation_lsn()).c_str());
+            : StrCat(ctx->creation_lsn()).c_str(),
+        proc.IsCold(context_id) ? "  (cold)" : "");
   }
 
   std::printf("last call table (%zu entries):\n", proc.last_calls().size());
@@ -296,8 +297,8 @@ int Run(const Options& opts) {
   if (opts.dump_log) {
     LogAnnotations annotations;
     if (opts.plan) {
-      // Build the same plan the parallel replayer would build for a crash
-      // right now, and pin its chain/edge view to the records that open
+      // Build the same chains recovery would cut for a crash right now,
+      // and pin their chain/edge view to the records that open
       // replay units. Annotations key on composite LSNs, so on a sharded
       // log they land on the matching per-shard lines.
       ReplayPlanInputs inputs;
